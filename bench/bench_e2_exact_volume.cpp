@@ -63,9 +63,9 @@ void print_table() {
       "E2: exact semi-linear volume (sweep vs inclusion-exclusion)",
       "all exact strategies must agree to the last rational digit; "
       "sweep scales past inclusion-exclusion's 2^cells wall");
-  std::printf("%-5s %-6s %-14s %-14s %-8s %-10s %-10s\n", "dim", "cells",
-              "volume(sweep)", "volume(incl)", "agree", "sweep_bps",
-              "sections");
+  std::printf("%-5s %-6s %-14s %-14s %-8s %-10s %-10s %s\n", "dim",
+              "cells", "volume(sweep)", "volume(incl)", "agree", "sweep_bps",
+              "sections", "feasibility_calls");
   for (std::size_t dim : {1, 2, 3}) {
     for (std::size_t count : {1, 2, 4, 6, 8}) {
       auto cells = random_boxes(dim, count, 1000 + dim * 100 + count);
@@ -75,9 +75,10 @@ void print_table() {
       Rational fast = semilinear_volume(cells).value_or_die();
       CQA_CHECK(sweep == incl);
       CQA_CHECK(sweep == fast);
-      std::printf("%-5zu %-6zu %-14s %-14s %-8s %-10zu %-10zu\n", dim,
-                  count, sweep.to_string().c_str(), incl.to_string().c_str(),
-                  "yes", stats.breakpoints, stats.sections_evaluated);
+      std::printf("%-5zu %-6zu %-14s %-14s %-8s %-10zu %-10zu %zu\n",
+                  dim, count, sweep.to_string().c_str(),
+                  incl.to_string().c_str(), "yes", stats.breakpoints,
+                  stats.sections_evaluated, stats.feasibility_calls);
     }
   }
   // Rotated cells: variable-independence-breaking workload.

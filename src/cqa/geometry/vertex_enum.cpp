@@ -34,17 +34,16 @@ std::vector<RVec> enumerate_vertices(const Polyhedron& p) {
       for (std::size_t j = 0; j < dim; ++j) a.at(r, j) = c.coeffs[j];
       b[r] = c.rhs;
     }
-    if (!a.determinant().is_zero()) {
-      RVec x = *solve_square(a, b);
+    if (auto x = solve_square(a, b)) {
       // Feasible w.r.t. the closed constraint system?
       bool feasible = true;
       for (const auto& c : cs) {
-        if (!c.closure().satisfied_by(x)) {
+        if (!c.closure().satisfied_by(*x)) {
           feasible = false;
           break;
         }
       }
-      if (feasible) vertices.push_back(std::move(x));
+      if (feasible) vertices.push_back(std::move(*x));
     }
     more = advance();
   }

@@ -36,6 +36,13 @@
 //                      (models a black-holed host; connect/call
 //                      timeouts must fire)
 //
+// One test-only site sits past the wire sites, outside every chaos plan:
+//
+//   kExecutorPark      a serve executor runs the injector's park action
+//                      before it starts its request group (lets a test
+//                      hold a request in flight in a forked worker until
+//                      it has signalled that worker)
+//
 // Hook sites call fault_fires(site), which is a single relaxed atomic
 // load + null check when no injector is installed -- zero-cost-when-off
 // in the sense that production binaries pay one predictable branch.
@@ -49,6 +56,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 namespace cqa {
 namespace guard {
@@ -66,13 +75,15 @@ enum class FaultSite : int {
   kWireDisconnect,
   kWireBitFlip,
   kWireBlackhole,
+  // Test-only latch (no chaos plan draws it).
+  kExecutorPark,
 };
 
 /// Sites with hooks inside the engines -- the ones FaultPlan::random
 /// draws from for in-process chaos trials. The wire sites past this
 /// index only fire inside the chaos proxy layer.
 inline constexpr std::size_t kNumEngineFaultSites = 6;
-inline constexpr std::size_t kNumFaultSites = 11;
+inline constexpr std::size_t kNumFaultSites = 12;
 
 inline const char* fault_site_name(FaultSite s) {
   switch (s) {
@@ -87,6 +98,7 @@ inline const char* fault_site_name(FaultSite s) {
     case FaultSite::kWireDisconnect: return "wire_disconnect";
     case FaultSite::kWireBitFlip: return "wire_bit_flip";
     case FaultSite::kWireBlackhole: return "wire_blackhole";
+    case FaultSite::kExecutorPark: return "executor_park";
   }
   return "unknown";
 }
@@ -158,6 +170,15 @@ class FaultInjector {
     return checks_[static_cast<std::size_t>(site)].load(
         std::memory_order_relaxed);
   }
+  /// What kExecutorPark does when it fires; empty parks nothing. Set it
+  /// before installing the injector.
+  void set_park_action(std::function<void()> action) {
+    park_action_ = std::move(action);
+  }
+  void park() const {
+    if (park_action_) park_action_();
+  }
+
   std::uint64_t fired_total() const {
     std::uint64_t t = 0;
     for (std::size_t i = 0; i < kNumFaultSites; ++i) {
@@ -168,6 +189,7 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
+  std::function<void()> park_action_;
   std::atomic<std::uint64_t> checks_[kNumFaultSites] = {};
   std::atomic<std::uint64_t> fired_[kNumFaultSites] = {};
 };
@@ -193,6 +215,12 @@ inline FaultInjector* current_fault_injector() {
 inline bool fault_fires(FaultSite site) {
   FaultInjector* f = current_fault_injector();
   return f != nullptr && f->should_fire(site);
+}
+
+/// The hook at the kExecutorPark site: runs the park action when it fires.
+inline void fault_park() {
+  FaultInjector* f = current_fault_injector();
+  if (f != nullptr && f->should_fire(FaultSite::kExecutorPark)) f->park();
 }
 
 /// RAII install/uninstall for one chaos trial.

@@ -131,6 +131,17 @@ std::vector<std::size_t> eliminate(Matrix* m) {
   return pivots;
 }
 
+// The augmented matrix [A | b].
+Matrix augmented(const Matrix& a, const RVec& b) {
+  CQA_CHECK(a.rows() == b.size());
+  Matrix aug(a.rows(), a.cols() + 1);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) aug.at(r, c) = a.at(r, c);
+    aug.at(r, a.cols()) = b[r];
+  }
+  return aug;
+}
+
 }  // namespace
 
 std::size_t Matrix::rank() const {
@@ -220,16 +231,29 @@ std::string Matrix::to_string() const {
 
 std::optional<RVec> solve_square(const Matrix& a, const RVec& b) {
   CQA_CHECK(a.rows() == a.cols());
-  return solve_any(a, b);
+  CQA_CHECK(a.rows() == b.size());
+  const std::size_t n = a.cols();
+  if (n == 2) {
+    // Cramer's rule: a third of the rational operations of elimination,
+    // and the hot case of the exact sweep's 2-D levels.
+    const Rational det = a.at(0, 0) * a.at(1, 1) - a.at(0, 1) * a.at(1, 0);
+    if (det.is_zero()) return std::nullopt;
+    return RVec{(b[0] * a.at(1, 1) - a.at(0, 1) * b[1]) / det,
+                (a.at(0, 0) * b[1] - b[0] * a.at(1, 0)) / det};
+  }
+  Matrix aug = augmented(a, b);
+  std::vector<std::size_t> pivots = eliminate(&aug);
+  // Nonsingular iff every column of A holds a pivot (and so b's does not).
+  if (pivots.size() != n || (n > 0 && pivots.back() >= n)) {
+    return std::nullopt;
+  }
+  RVec x(n);
+  for (std::size_t r = 0; r < n; ++r) x[r] = aug.at(r, n);
+  return x;
 }
 
 std::optional<RVec> solve_any(const Matrix& a, const RVec& b) {
-  CQA_CHECK(a.rows() == b.size());
-  Matrix aug(a.rows(), a.cols() + 1);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) aug.at(r, c) = a.at(r, c);
-    aug.at(r, a.cols()) = b[r];
-  }
+  Matrix aug = augmented(a, b);
   std::vector<std::size_t> pivots = eliminate(&aug);
   // Inconsistent iff some pivot sits in the augmented column.
   if (!pivots.empty() && pivots.back() == a.cols()) return std::nullopt;

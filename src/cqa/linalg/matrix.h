@@ -76,8 +76,9 @@ class Matrix {
   std::vector<Rational> data_;
 };
 
-/// Solves A x = b for square nonsingular A; nullopt if singular (or any
-/// consistent solution does not exist). A must be square.
+/// Solves A x = b for square A; nullopt if A is singular (whether or not
+/// the system is consistent), so callers need no separate determinant
+/// test.
 std::optional<RVec> solve_square(const Matrix& a, const RVec& b);
 
 /// Solves the (possibly rectangular) system A x = b. Returns one solution

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cqa/guard/fault.h"
 #include "cqa/runtime/eval_cache.h"
 #include "cqa/runtime/session.h"
 #include "cqa/util/bincode.h"
@@ -314,6 +315,7 @@ Result<Answer> Scheduler::run_job(Job& job) {
 }
 
 void Scheduler::execute(std::vector<Exec> group) {
+  guard::fault_park();
   const auto now = Clock::now();
   auto observe_wait = [&](const Job& j) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

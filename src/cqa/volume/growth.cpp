@@ -52,8 +52,7 @@ Result<GrowthPolynomial> volume_growth(const std::vector<LinearCell>& cells) {
           }
           b[r] = planes[comb[r]].rhs;
         }
-        if (!a.determinant().is_zero()) {
-          const auto solution = solve_square(a, b);
+        if (const auto solution = solve_square(a, b)) {
           for (const Rational& x : *solution) {
             Rational ax = x.abs() + Rational(1);
             if (ax > threshold) threshold = ax;

@@ -4,7 +4,6 @@
 
 #include "cqa/guard/fault.h"
 #include "cqa/poly/interpolation.h"
-#include "cqa/poly/univariate.h"
 
 namespace cqa {
 
@@ -43,22 +42,86 @@ bool is_full_dimensional(const LinearCell& cell) {
 
 namespace {
 
-// Merged total length of the union of 1-D cells.
-Result<Rational> interval_union_length(const std::vector<LinearCell>& cells) {
-  std::vector<std::pair<Rational, Rational>> intervals;
-  for (const auto& cell : cells) {
-    AxisInterval iv = cell.project_to_axis(0);
-    if (iv.empty) continue;
-    if (!iv.lo || !iv.hi) {
-      return Status::invalid("semilinear_volume: unbounded 1-D cell");
+// Weights of the open Newton-Cotes rule on the n nodes of sample_points:
+// for every polynomial p of degree < n,
+//   Integral_a^b p = (b - a) * sum_i w_i p(a + i (b - a) / (n + 1)).
+// They solve sum_i w_i u_i^k = 1 / (k + 1), k < n, at u_i = i / (n + 1).
+std::vector<Rational> newton_cotes_weights(std::size_t n) {
+  Matrix moments(n, n);
+  RVec rhs(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      moments.at(k, i) = Rational::pow(
+          Rational(static_cast<std::int64_t>(i + 1),
+                   static_cast<std::int64_t>(n + 1)),
+          static_cast<std::int64_t>(k));
     }
-    if (*iv.lo < *iv.hi) intervals.emplace_back(*iv.lo, *iv.hi);
+    rhs[k] = Rational(1, static_cast<std::int64_t>(k + 1));
   }
+  return *solve_square(moments, rhs);
+}
+
+// What every level of one volume computation shares.
+struct SweepContext {
+  SweepContext(std::size_t dim, VolumeStats* stats, bool force_sweep,
+               const CancelToken* cancel, guard::WorkMeter* meter)
+      : stats(stats),
+        force_sweep(force_sweep),
+        cancel(cancel),
+        meter(meter),
+        weights(dim + 1) {}
+
+  VolumeStats* stats;
+  bool force_sweep;
+  const CancelToken* cancel;
+  guard::WorkMeter* meter;
+  // [n]: newton_cotes_weights(n), filled on first use. Sized up front, so
+  // a filled entry is never moved while an outer level holds it.
+  mutable std::vector<std::vector<Rational>> weights;
+
+  const std::vector<Rational>& weights_for(std::size_t n) const {
+    if (weights[n].empty()) weights[n] = newton_cotes_weights(n);
+    return weights[n];
+  }
+
+  void count_fm(std::size_t n = 1) const {
+    if (stats) stats->feasibility_calls += n;
+  }
+};
+
+using Interval = std::pair<Rational, Rational>;
+
+// The x_0-shadow [lo, hi] of a full-dimensional bounded cell. In 1-D the
+// bounds are read off the constraints; above, Fourier-Motzkin projects.
+Interval shadow(const LinearCell& cell, const SweepContext& ctx) {
+  if (cell.dim() > 1) {
+    AxisInterval iv = cell.project_to_axis(0);
+    ctx.count_fm();
+    CQA_CHECK(!iv.empty && iv.lo && iv.hi);
+    return {std::move(*iv.lo), std::move(*iv.hi)};
+  }
+  std::optional<Rational> lo, hi;
+  for (const auto& c : cell.constraints()) {
+    const Rational& a = c.coeffs[0];
+    if (a.is_zero()) continue;  // constant, and true: the cell is nonempty
+    Rational bound = c.rhs / a;
+    if (a.sign() < 0) {
+      if (!lo || *lo < bound) lo = std::move(bound);
+    } else {
+      if (!hi || bound < *hi) hi = std::move(bound);
+    }
+  }
+  CQA_CHECK(lo && hi);
+  return {std::move(*lo), std::move(*hi)};
+}
+
+// Merged total length of a union of intervals.
+Rational union_length(std::vector<Interval> intervals) {
   std::sort(intervals.begin(), intervals.end());
   Rational total;
   std::size_t i = 0;
   while (i < intervals.size()) {
-    Rational lo = intervals[i].first;
+    const Rational& lo = intervals[i].first;
     Rational hi = intervals[i].second;
     std::size_t j = i + 1;
     while (j < intervals.size() && intervals[j].first <= hi) {
@@ -72,15 +135,24 @@ Result<Rational> interval_union_length(const std::vector<LinearCell>& cells) {
 }
 
 // x_0-coordinates of the vertices of the hyperplane arrangement spanned by
-// all constraints of all cells, sorted and deduplicated.
+// all constraints of all cells that lie in the closure of some cell,
+// sorted and distinct; `shadows` are the cells' x_0-shadows. Vertices
+// outside every cell are never breakpoints: by inclusion-exclusion the
+// section volume is a signed sum of section volumes of cell
+// intersections, each a polytope whose vertices are arrangement vertices
+// in those cells' closures.
 std::vector<Rational> arrangement_breakpoints(
-    const std::vector<LinearCell>& cells, std::size_t dim) {
+    const std::vector<LinearCell>& cells,
+    const std::vector<Interval>& shadows, std::size_t dim) {
   // NOTE: no fm_simplify here -- dominance pruning is only sound within a
   // single conjunction, and these constraints come from different cells of
   // a union.
+  std::vector<LinearCell> closures;
+  closures.reserve(cells.size());
   std::vector<LinearConstraint> planes;
   for (const auto& cell : cells) {
-    for (const auto& c : cell.constraints()) planes.push_back(c.closure());
+    closures.push_back(cell.closure());
+    for (const auto& c : closures.back().constraints()) planes.push_back(c);
   }
   // Hyperplanes: dedupe up to sign of the normalized row.
   {
@@ -117,148 +189,204 @@ std::vector<Rational> arrangement_breakpoints(
     }
     return false;
   };
-  bool more = true;
-  while (more) {
-    Matrix a(dim, dim);
-    RVec b(dim);
+  // Subsets holding two parallel hyperplanes are singular: skip them
+  // without solving.
+  std::vector<char> parallel(m * m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const RVec neg = vec_scale(Rational(-1), planes[i].coeffs);
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const RVec& v = planes[j].coeffs;
+      parallel[i * m + j] = v == planes[i].coeffs || v == neg;
+    }
+  }
+  auto has_parallel_pair = [&]() {
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t q = r + 1; q < dim; ++q) {
+        if (parallel[comb[r] * m + comb[q]]) return true;
+      }
+    }
+    return false;
+  };
+  Matrix a(dim, dim);
+  RVec b(dim);
+  do {
+    if (has_parallel_pair()) continue;
     for (std::size_t r = 0; r < dim; ++r) {
       for (std::size_t c = 0; c < dim; ++c) {
         a.at(r, c) = planes[comb[r]].coeffs[c];
       }
       b[r] = planes[comb[r]].rhs;
     }
-    if (!a.determinant().is_zero()) {
-      xs.push_back((*solve_square(a, b))[0]);
+    if (auto vertex = solve_square(a, b)) {
+      const Rational& x0 = (*vertex)[0];
+      if (std::find(xs.begin(), xs.end(), x0) == xs.end()) {
+        for (std::size_t k = 0; k < closures.size(); ++k) {
+          // The shadow test rejects most cells before the full check.
+          if (x0 < shadows[k].first || shadows[k].second < x0) continue;
+          if (closures[k].contains(*vertex)) {
+            xs.push_back(x0);
+            break;
+          }
+        }
+      }
     }
-    more = advance();
-  }
+  } while (advance());
   std::sort(xs.begin(), xs.end());
-  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
   return xs;
 }
 
 Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
-                              VolumeStats* stats, bool force_sweep,
-                              const CancelToken* cancel,
-                              guard::WorkMeter* meter);
+                              const SweepContext& ctx, bool top_level);
 
-// One section evaluation: volume of { y : (t, y) in union of cells }.
-Result<Rational> section_volume(const std::vector<LinearCell>& cells,
-                                const Rational& t, std::size_t dim,
-                                VolumeStats* stats, bool force_sweep,
-                                const CancelToken* cancel,
-                                guard::WorkMeter* meter) {
-  std::vector<LinearCell> sections;
-  for (const auto& cell : cells) {
-    LinearCell restricted = cell.restrict_var(0, t);
-    if (!fm_feasible(restricted.constraints(), dim)) continue;
-    sections.push_back(drop_var(restricted, 0));
+// The section { y : (t, y) in cell } as a cell of dimension dim-1. Callers
+// only ask for t strictly inside the cell's x_0-shadow, where every
+// constraint on x_0 alone holds, so those become constant-true and drop.
+LinearCell section_at(const LinearCell& cell, const Rational& t) {
+  LinearCell out(cell.dim() - 1);
+  for (const auto& c : cell.constraints()) {
+    LinearConstraint s;
+    s.cmp = c.cmp;
+    s.rhs = c.rhs;
+    if (!c.coeffs[0].is_zero()) s.rhs -= c.coeffs[0] * t;
+    s.coeffs.assign(c.coeffs.begin() + 1, c.coeffs.end());
+    if (s.is_constant()) continue;
+    out.add(std::move(s));
   }
-  if (stats) ++stats->sections_evaluated;
-  if (meter != nullptr && !meter->charge_sweep_section()) {
-    return meter->check();
-  }
-  return volume_union(std::move(sections), dim - 1, stats, force_sweep,
-                      cancel, meter);
+  return out;
 }
 
-Result<Rational> sweep(const std::vector<LinearCell>& cells, std::size_t dim,
-                       VolumeStats* stats, bool force_sweep,
-                       const CancelToken* cancel, guard::WorkMeter* meter) {
-  if (stats) ++stats->sweep_calls;
-  if (dim == 1) return interval_union_length(cells);
+// One section evaluation: volume of { y : (t, y) in union of cells }, where
+// t lies strictly inside every cell's x_0-shadow. Such sections are
+// full-dimensional and bounded, so the recursion skips those filters.
+Result<Rational> section_volume(const std::vector<const LinearCell*>& cells,
+                                const Rational& t, std::size_t dim,
+                                const SweepContext& ctx) {
+  std::vector<LinearCell> sections;
+  sections.reserve(cells.size());
+  for (const LinearCell* cell : cells) sections.push_back(section_at(*cell, t));
+  if (ctx.stats) ++ctx.stats->sections_evaluated;
+  if (ctx.meter != nullptr && !ctx.meter->charge_sweep_section()) {
+    return ctx.meter->check();
+  }
+  return volume_union(std::move(sections), dim - 1, ctx, /*top_level=*/false);
+}
 
-  std::vector<Rational> bps = arrangement_breakpoints(cells, dim);
-  if (stats) stats->breakpoints += bps.size();
-  if (meter != nullptr) {
-    // Breakpoint enumeration is C(m, dim) determinant solves; account the
-    // materialized breakpoint list before interpolating over it.
-    meter->charge_resident_bytes(bps.size() * 32);
-    CQA_RETURN_IF_ERROR(meter->check());
+// `cells` are full-dimensional and bounded.
+Result<Rational> sweep(const std::vector<LinearCell>& cells, std::size_t dim,
+                       const SweepContext& ctx) {
+  if (ctx.stats) ++ctx.stats->sweep_calls;
+  // Each cell's x_0-shadow [lo, hi], once per level. lo and hi are x_0 of
+  // the cell's own vertices, hence breakpoints, so on each breakpoint
+  // interval a cell is either absent or its section is full-dimensional
+  // at every interior t.
+  std::vector<Interval> shadows;
+  shadows.reserve(cells.size());
+  for (const auto& cell : cells) shadows.push_back(shadow(cell, ctx));
+  if (dim == 1) return union_length(std::move(shadows));
+
+  std::vector<Rational> bps = arrangement_breakpoints(cells, shadows, dim);
+  for (const auto& [lo, hi] : shadows) {
+    CQA_CHECK(std::binary_search(bps.begin(), bps.end(), lo) &&
+              std::binary_search(bps.begin(), bps.end(), hi));
   }
-  if (bps.size() < 2) {
-    // Bounded full-dimensional cells must produce at least two distinct
-    // breakpoints; none means the union is empty or degenerate.
-    return Rational(0);
+  if (ctx.stats) ctx.stats->breakpoints += bps.size();
+  if (ctx.meter != nullptr) {
+    // Breakpoint enumeration is C(m, dim) exact solves; account the
+    // materialized breakpoint list before integrating over it.
+    ctx.meter->charge_resident_bytes(bps.size() * 32);
+    CQA_RETURN_IF_ERROR(ctx.meter->check());
   }
+  const std::vector<Rational>& weights = ctx.weights_for(dim);
   Rational total;
+  std::vector<const LinearCell*> present;
   for (std::size_t i = 0; i + 1 < bps.size(); ++i) {
     const Rational& a = bps[i];
     const Rational& b = bps[i + 1];
-    // Section volume g(t) restricted to (a, b) is a polynomial of degree
-    // <= dim-1: interpolate from dim exact samples.
-    std::vector<std::pair<Rational, Rational>> samples;
-    for (const Rational& t : sample_points(a, b, dim)) {
-      if (cancel != nullptr) {
-        CQA_RETURN_IF_ERROR(cancel->check());
+    present.clear();
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      if (shadows[k].first <= a && b <= shadows[k].second) {
+        present.push_back(&cells[k]);
       }
-      auto g = section_volume(cells, t, dim, stats, force_sweep, cancel,
-                              meter);
-      if (!g.is_ok()) return g;
-      samples.emplace_back(t, g.value());
     }
-    UPoly g = interpolate(samples);
-    total += g.integrate(a, b);
+    if (present.empty()) continue;  // g vanishes on (a, b)
+    // Section volume g(t) restricted to (a, b) is a polynomial of degree
+    // <= dim-1, so dim exact samples integrate it exactly.
+    const std::vector<Rational> ts = sample_points(a, b, dim);
+    Rational sum;
+    for (std::size_t j = 0; j < dim; ++j) {
+      if (ctx.cancel != nullptr) {
+        CQA_RETURN_IF_ERROR(ctx.cancel->check());
+      }
+      auto g = section_volume(present, ts[j], dim, ctx);
+      if (!g.is_ok()) return g;
+      sum += weights[j] * g.value();
+    }
+    total += (b - a) * sum;
   }
   return total;
 }
 
+// Volume of the union of `cells` in R^dim. Only the top-level call filters
+// out lower-dimensional cells and rejects unbounded ones; sweep sections
+// are full-dimensional and bounded by construction.
 Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
-                              VolumeStats* stats, bool force_sweep,
-                              const CancelToken* cancel,
-                              guard::WorkMeter* meter) {
-  if (cancel != nullptr) {
-    CQA_RETURN_IF_ERROR(cancel->check());
+                              const SweepContext& ctx, bool top_level) {
+  if (ctx.cancel != nullptr) {
+    CQA_RETURN_IF_ERROR(ctx.cancel->check());
   }
   if (guard::fault_fires(guard::FaultSite::kSpuriousCancel)) {
     return Status::cancelled("injected spurious cancellation (sweep)");
   }
-  if (meter != nullptr) {
-    CQA_RETURN_IF_ERROR(meter->check());
+  if (ctx.meter != nullptr) {
+    CQA_RETURN_IF_ERROR(ctx.meter->check());
   }
-  // Keep only feasible, full-dimensional cells (others have measure 0).
-  std::vector<LinearCell> live;
-  for (auto& cell : cells) {
-    CQA_CHECK(cell.dim() == dim);
-    if (!is_full_dimensional(cell)) continue;
-    live.push_back(std::move(cell));
-  }
-  if (live.empty()) return Rational(0);
-  if (dim == 0) return Rational(1);
-  for (const auto& cell : live) {
-    if (!cell.is_bounded()) {
-      return Status::invalid(
-          "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
+  if (top_level) {
+    // Keep only full-dimensional cells (others have measure 0).
+    std::vector<LinearCell> live;
+    for (auto& cell : cells) {
+      CQA_CHECK(cell.dim() == dim);
+      ctx.count_fm();
+      if (is_full_dimensional(cell)) live.push_back(std::move(cell));
+    }
+    cells = std::move(live);
+    if (cells.empty()) return Rational(0);
+    if (dim == 0) return Rational(1);
+    for (const auto& cell : cells) {
+      ctx.count_fm(dim);
+      if (!cell.is_bounded()) {
+        return Status::invalid(
+            "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
+      }
     }
   }
-  if (!force_sweep) {
-    if (live.size() == 1) {
-      if (stats) ++stats->lasserre_calls;
-      return polytope_volume(Polyhedron(live[0]));
+  // In 1-D the sweep reads each interval off the constraints and merges;
+  // the fast paths would only add Fourier-Motzkin work.
+  if (!ctx.force_sweep && dim > 1) {
+    if (cells.size() == 1) {
+      if (ctx.stats) ++ctx.stats->lasserre_calls;
+      return polytope_volume(Polyhedron(cells[0]));
     }
     // Pairwise interior-disjoint cells sum exactly (shared boundaries have
     // measure zero).
     bool disjoint = true;
-    for (std::size_t i = 0; i < live.size() && disjoint; ++i) {
-      for (std::size_t j = i + 1; j < live.size() && disjoint; ++j) {
+    for (std::size_t i = 0; i < cells.size() && disjoint; ++i) {
+      for (std::size_t j = i + 1; j < cells.size() && disjoint; ++j) {
         std::vector<LinearConstraint> both;
-        for (const auto& c : live[i].constraints()) {
-          LinearConstraint s = c.closure();
-          s.cmp = LinCmp::kLt;
-          both.push_back(std::move(s));
+        for (const auto* cell : {&cells[i], &cells[j]}) {
+          for (const auto& c : cell->constraints()) {
+            LinearConstraint s = c.closure();
+            s.cmp = LinCmp::kLt;
+            both.push_back(std::move(s));
+          }
         }
-        for (const auto& c : live[j].constraints()) {
-          LinearConstraint s = c.closure();
-          s.cmp = LinCmp::kLt;
-          both.push_back(std::move(s));
-        }
+        ctx.count_fm();
         if (fm_feasible(both, dim)) disjoint = false;
       }
     }
     if (disjoint) {
       Rational total;
-      for (const auto& cell : live) {
-        if (stats) ++stats->lasserre_calls;
+      for (const auto& cell : cells) {
+        if (ctx.stats) ++ctx.stats->lasserre_calls;
         auto v = polytope_volume(Polyhedron(cell));
         if (!v.is_ok()) return v;
         total += v.value();
@@ -266,7 +394,7 @@ Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
       return total;
     }
   }
-  return sweep(live, dim, stats, force_sweep, cancel, meter);
+  return sweep(cells, dim, ctx);
 }
 
 }  // namespace
@@ -276,8 +404,10 @@ Result<Rational> semilinear_volume(const std::vector<LinearCell>& cells,
                                    const CancelToken* cancel,
                                    guard::WorkMeter* meter) {
   if (cells.empty()) return Rational(0);
-  return volume_union(cells, cells[0].dim(), stats, /*force_sweep=*/false,
-                      cancel, meter);
+  const std::size_t dim = cells[0].dim();
+  return volume_union(
+      cells, dim, SweepContext(dim, stats, /*force_sweep=*/false, cancel, meter),
+      /*top_level=*/true);
 }
 
 Result<Rational> semilinear_volume_sweep(const std::vector<LinearCell>& cells,
@@ -285,8 +415,10 @@ Result<Rational> semilinear_volume_sweep(const std::vector<LinearCell>& cells,
                                          const CancelToken* cancel,
                                          guard::WorkMeter* meter) {
   if (cells.empty()) return Rational(0);
-  return volume_union(cells, cells[0].dim(), stats, /*force_sweep=*/true,
-                      cancel, meter);
+  const std::size_t dim = cells[0].dim();
+  return volume_union(
+      cells, dim, SweepContext(dim, stats, /*force_sweep=*/true, cancel, meter),
+      /*top_level=*/true);
 }
 
 Result<Rational> formula_volume(const FormulaPtr& f, std::size_t dim) {

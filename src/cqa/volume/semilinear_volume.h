@@ -6,12 +6,22 @@
 //   VOL(S) = Integral g(t) dt,   g(t) = VOL_{n-1}(S cap {x_0 = t}).
 //
 // For semi-linear S the section-volume g is piecewise polynomial of degree
-// <= n-1 whose breakpoints lie among the x_0-coordinates of the vertices
-// of the arrangement spanned by all cell constraints. We enumerate those
-// vertices exactly, interpolate g on each open breakpoint interval from n
-// exact rational samples (recursing into dimension n-1), and integrate the
-// interpolants exactly. Unions and overlaps cost nothing extra: the
-// recursion bottoms out in 1-D interval merging.
+// <= n-1. Its breakpoints lie among the x_0-coordinates of the vertices
+// of the arrangement spanned by all cell constraints -- and only of those
+// vertices that lie in the closure of some cell: by inclusion-exclusion g
+// is a signed sum of section volumes of cell intersections, each a
+// polytope whose vertices are such arrangement vertices. We enumerate
+// them exactly and integrate g over each open breakpoint interval from n
+// exact rational samples (recursing into dimension n-1) by the open
+// Newton-Cotes rule, which is exact for polynomials of degree < n.
+//
+// Each level projects every cell onto x_0 once (its shadow [lo, hi]).
+// lo and hi are breakpoints, so on a breakpoint interval a cell is either
+// absent or present throughout, and its section at an interior sample is
+// full-dimensional and bounded by construction: sections are kept by an
+// interval test, and only the top-level call runs the Fourier-Motzkin
+// full-dimension and boundedness filters. Unions and overlaps cost
+// nothing extra: the recursion bottoms out in 1-D interval merging.
 
 #ifndef CQA_VOLUME_SEMILINEAR_VOLUME_H_
 #define CQA_VOLUME_SEMILINEAR_VOLUME_H_
@@ -32,6 +42,8 @@ struct VolumeStats {
   std::size_t lasserre_calls = 0;     // single-polytope fast paths taken
   std::size_t breakpoints = 0;        // total breakpoints enumerated
   std::size_t sections_evaluated = 0; // recursive section evaluations
+  std::size_t feasibility_calls = 0;  // Fourier-Motzkin feasibility tests
+                                      // and projections the sweep ran
 };
 
 /// Exact volume of the union of the cells. All cells must share the same

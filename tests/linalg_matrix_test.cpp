@@ -67,6 +67,15 @@ TEST(Matrix, SolveSquare) {
   EXPECT_EQ(x[1], Rational(3));
 }
 
+TEST(Matrix, SolveSquareRejectsSingular) {
+  // Consistent but singular: solve_any finds a point, solve_square has no
+  // unique solution to give.
+  Matrix a = mat2(1, 2, 2, 4);
+  EXPECT_FALSE(solve_square(a, RVec{Rational(3), Rational(6)}).has_value());
+  EXPECT_FALSE(solve_square(a, RVec{Rational(3), Rational(7)}).has_value());
+  EXPECT_FALSE(solve_square(Matrix(2, 2), RVec(2)).has_value());
+}
+
 TEST(Matrix, SolveSingularConsistent) {
   Matrix a = mat2(1, 2, 2, 4);
   RVec b{Rational(3), Rational(6)};

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "cqa/approx/random.h"
 #include "cqa/geometry/affine.h"
 #include "cqa/volume/inclusion_exclusion.h"
@@ -194,6 +197,187 @@ TEST_P(VolumeProperty, ScalingPowerLaw) {
     EXPECT_EQ(v2, Rational::pow(Rational(3, 2),
                                 static_cast<std::int64_t>(dim)) *
                       v1);
+  }
+}
+
+// ---- Degenerate unions: the certified (auto) path, the forced sweep and
+// inclusion-exclusion must agree to the last rational digit.
+
+// sign * x_v cmp rhs.
+LinearConstraint axis_row(std::size_t dim, std::size_t v, int sign,
+                          const Rational& rhs, LinCmp cmp = LinCmp::kLe) {
+  LinearConstraint c;
+  c.coeffs.assign(dim, Rational());
+  c.coeffs[v] = Rational(sign);
+  c.rhs = rhs;
+  c.cmp = cmp;
+  return c;
+}
+
+using Side = std::pair<Rational, Rational>;
+
+LinearCell box_of(const std::vector<Side>& sides, LinCmp cmp = LinCmp::kLe) {
+  const std::size_t dim = sides.size();
+  LinearCell cell(dim);
+  for (std::size_t v = 0; v < dim; ++v) {
+    cell.add(axis_row(dim, v, -1, -sides[v].first, cmp));
+    cell.add(axis_row(dim, v, 1, sides[v].second, cmp));
+  }
+  return cell;
+}
+
+// The simplex at `corner` spanned along `signs` (+1 / -1 per axis) with
+// legs of length `leg`: { s_v (x_v - c_v) >= 0, sum s_v (x_v - c_v) <= leg }.
+LinearCell corner_simplex(const std::vector<Rational>& corner,
+                          const std::vector<int>& signs,
+                          const Rational& leg) {
+  const std::size_t dim = corner.size();
+  LinearCell cell(dim);
+  LinearConstraint diag;
+  diag.coeffs.assign(dim, Rational());
+  diag.rhs = leg;
+  for (std::size_t v = 0; v < dim; ++v) {
+    cell.add(axis_row(dim, v, -signs[v], -Rational(signs[v]) * corner[v]));
+    diag.coeffs[v] = Rational(signs[v]);
+    diag.rhs += Rational(signs[v]) * corner[v];
+  }
+  cell.add(std::move(diag));
+  return cell;
+}
+
+enum class Degeneracy {
+  kSharedFacet,
+  kVertexTouch,
+  kDuplicate,
+  kFacetAtX0,
+  kStrict,
+  kLowerDimensional,
+  kCornerSimplex,
+};
+constexpr int kNumDegeneracies = 7;
+
+// A small union showing one degeneracy, built around a random box.
+std::vector<LinearCell> degenerate_union(CellGen& gen, std::size_t dim,
+                                         Degeneracy kind) {
+  std::vector<Side> sides;
+  for (std::size_t v = 0; v < dim; ++v) {
+    Rational lo = gen.small_rational(3, 2);
+    sides.emplace_back(lo, lo + gen.small_rational(3, 2).abs() + Rational(1));
+  }
+  const LinearCell base = box_of(sides);
+  const std::size_t axis = gen.rng().next() % dim;
+  std::vector<LinearCell> out{base};
+  switch (kind) {
+    case Degeneracy::kSharedFacet: {
+      // A neighbour across the facet x_axis = hi, overlapping nothing.
+      std::vector<Side> next = sides;
+      next[axis] = {sides[axis].second, sides[axis].second + Rational(1, 2)};
+      out.push_back(box_of(next));
+      break;
+    }
+    case Degeneracy::kVertexTouch: {
+      std::vector<Side> next;
+      for (const auto& [lo, hi] : sides) next.emplace_back(hi, hi + Rational(1));
+      out.push_back(box_of(next));
+      break;
+    }
+    case Degeneracy::kDuplicate:
+      out.push_back(base);
+      out.push_back(gen.cut_cell(dim));
+      out.push_back(out.back());
+      break;
+    case Degeneracy::kFacetAtX0: {
+      // Split the box at x_0 = mid and cut the right half diagonally, so
+      // two cells meet on a facet orthogonal to the sweep axis.
+      const Rational mid = Rational::mid(sides[0].first, sides[0].second);
+      std::vector<Side> left = sides, right = sides;
+      left[0].second = mid;
+      right[0].first = mid;
+      LinearCell cut = box_of(right);
+      LinearConstraint diag;
+      diag.coeffs.assign(dim, Rational(1));
+      for (const auto& [lo, hi] : right) diag.rhs += hi;
+      diag.rhs -= Rational(1, 2);
+      cut.add(std::move(diag));
+      out = {box_of(left), std::move(cut), gen.cut_cell(dim)};
+      break;
+    }
+    case Degeneracy::kStrict: {
+      // The same box open, shifted to overlap, beside the closed one.
+      std::vector<Side> shifted = sides;
+      shifted[axis].first += Rational(1, 2);
+      shifted[axis].second += Rational(1, 2);
+      out.push_back(box_of(shifted, LinCmp::kLt));
+      LinearCell open_cut = gen.cut_cell(dim);
+      open_cut.add(axis_row(dim, axis, 1, sides[axis].second, LinCmp::kLt));
+      out.push_back(std::move(open_cut));
+      break;
+    }
+    case Degeneracy::kLowerDimensional: {
+      // A flat box (zero width on `axis`) and a slice by an equality.
+      std::vector<Side> flat = sides;
+      flat[axis].second = flat[axis].first + Rational(1, 3);
+      flat[axis].first = flat[axis].second;
+      out.push_back(box_of(flat));
+      LinearCell slice = gen.cut_cell(dim);
+      slice.add(axis_row(dim, axis, 1, sides[axis].first, LinCmp::kEq));
+      out.push_back(std::move(slice));
+      break;
+    }
+    case Degeneracy::kCornerSimplex: {
+      // One simplex inside a corner of the box, one outside touching the
+      // opposite corner at a vertex.
+      std::vector<Rational> lo_corner, hi_corner;
+      for (const auto& [lo, hi] : sides) {
+        lo_corner.push_back(lo);
+        hi_corner.push_back(hi);
+      }
+      out.push_back(corner_simplex(lo_corner, std::vector<int>(dim, 1),
+                                   Rational(3, 2)));
+      out.push_back(corner_simplex(hi_corner, std::vector<int>(dim, 1),
+                                   Rational(1)));
+      break;
+    }
+  }
+  return out;
+}
+
+void expect_exact_paths_agree(const std::vector<LinearCell>& cells,
+                              const std::string& what) {
+  auto incl = volume_inclusion_exclusion(cells);
+  auto sweep = semilinear_volume_sweep(cells);
+  auto fast = semilinear_volume(cells);
+  ASSERT_TRUE(incl.is_ok()) << what;
+  ASSERT_TRUE(sweep.is_ok()) << what;
+  ASSERT_TRUE(fast.is_ok()) << what;
+  EXPECT_EQ(sweep.value(), incl.value()) << what;
+  EXPECT_EQ(fast.value(), incl.value()) << what;
+}
+
+TEST_P(VolumeProperty, ExactPathsAgreeOnEachDegeneracy) {
+  CellGen gen(GetParam() ^ 0x7777);
+  for (std::size_t dim : {2u, 3u}) {
+    for (int k = 0; k < kNumDegeneracies; ++k) {
+      auto cells = degenerate_union(gen, dim, static_cast<Degeneracy>(k));
+      expect_exact_paths_agree(cells, "dim=" + std::to_string(dim) +
+                                          " kind=" + std::to_string(k));
+    }
+  }
+}
+
+TEST_P(VolumeProperty, ExactPathsAgreeOnMixedDegeneracies) {
+  // Two degenerate pieces overlaid, so each one's vertices and facets
+  // land inside or on the other's cells.
+  CellGen gen(GetParam() ^ 0x8888);
+  for (std::size_t dim : {2u, 3u}) {
+    const auto a = static_cast<Degeneracy>(gen.rng().next() % kNumDegeneracies);
+    const auto b = static_cast<Degeneracy>(gen.rng().next() % kNumDegeneracies);
+    auto cells = degenerate_union(gen, dim, a);
+    for (auto& c : degenerate_union(gen, dim, b)) cells.push_back(std::move(c));
+    expect_exact_paths_agree(
+        cells, "dim=" + std::to_string(dim) + " kinds=" +
+                   std::to_string(static_cast<int>(a)) + "," +
+                   std::to_string(static_cast<int>(b)));
   }
 }
 

@@ -25,6 +25,7 @@
 #include "cqa/served/client.h"
 #include "cqa/served/server.h"
 #include "gtest/gtest.h"
+#include "park_latch.h"
 
 namespace cqa {
 namespace {
@@ -122,60 +123,59 @@ TEST(ServedFleet, MixedTrafficMatchesLocalSession) {
 
 TEST(ServedFleet, Kill9CostsExactlyOneShard) {
   served::ServedOptions options = fleet_options("kill9.sock", 3);
+  ParkLatch latch;  // before start(): the forked workers inherit it
   served::Server server(options);
   ASSERT_TRUE(server.start().is_ok());
 
-  // A few attempts in case a batch outraces the kill; each round kills
-  // the (possibly respawned) current worker of the victim shard.
-  std::uint64_t crashed_answers = 0;
+  // Gather 4 distinct slow requests that all route to the victim.
   std::uint64_t seed = 1;
   const std::size_t victim = server.shard_of(slow_mc(seed));
-  for (int attempt = 0; attempt < 5 && crashed_answers == 0; ++attempt) {
-    // Gather 4 distinct slow requests that all route to the victim.
-    std::vector<Request> batch;
-    while (batch.size() < 4) {
-      Request r = slow_mc(seed++);
-      if (server.shard_of(r) == victim) batch.push_back(std::move(r));
-    }
-    const pid_t old_pid = server.worker_pid(victim);
-    std::atomic<std::uint64_t> crashed{0};
-    std::atomic<std::uint64_t> hung{0};
-    std::vector<std::thread> threads;
-    for (const Request& r : batch) {
-      threads.emplace_back([&, r] {
-        served::Client client = must_connect(options.unix_path);
-        auto a = client.call(r, /*timeout_ms=*/60000);
-        if (!a.is_ok()) {
-          // Non-volume kinds would error; volumes must degrade instead.
-          if (a.status().code() == StatusCode::kDeadlineExceeded) {
-            hung.fetch_add(1);
-          }
-          return;
-        }
-        if (a.value().guard.worker_crashed) {
-          crashed.fetch_add(1);
-          // Honest degradation: certified trivial-1/2, bars [0,1],
-          // flagged degraded -- never a made-up "real" answer.
-          EXPECT_TRUE(a.value().degraded());
-          EXPECT_LE(a.value().volume.lower.value_or(1.0), 0.0);
-          EXPECT_GE(a.value().volume.upper.value_or(0.0), 1.0);
-          EXPECT_FALSE(a.value().guard.shed);
-        }
-      });
-    }
-    // Let the batch land in the victim's queue, then kill -9.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    kill(old_pid, SIGKILL);
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(hung.load(), 0u) << "a client hung past the kill";
-    crashed_answers += crashed.load();
-
-    // The supervisor respawned the shard with a fresh process.
-    for (int i = 0; i < 200 && server.worker_pid(victim) == old_pid; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_NE(server.worker_pid(victim), old_pid);
+  std::vector<Request> batch;
+  while (batch.size() < 4) {
+    Request r = slow_mc(seed++);
+    if (server.shard_of(r) == victim) batch.push_back(std::move(r));
   }
+  const pid_t old_pid = server.worker_pid(victim);
+  std::atomic<std::uint64_t> crashed{0};
+  std::atomic<std::uint64_t> hung{0};
+  std::vector<std::thread> threads;
+  latch.arm();
+  for (const Request& r : batch) {
+    threads.emplace_back([&, r] {
+      served::Client client = must_connect(options.unix_path);
+      auto a = client.call(r, /*timeout_ms=*/60000);
+      if (!a.is_ok()) {
+        // Non-volume kinds would error; volumes must degrade instead.
+        if (a.status().code() == StatusCode::kDeadlineExceeded) {
+          hung.fetch_add(1);
+        }
+        return;
+      }
+      if (a.value().guard.worker_crashed) {
+        crashed.fetch_add(1);
+        // Honest degradation: certified trivial-1/2, bars [0,1],
+        // flagged degraded -- never a made-up "real" answer.
+        EXPECT_TRUE(a.value().degraded());
+        EXPECT_LE(a.value().volume.lower.value_or(1.0), 0.0);
+        EXPECT_GE(a.value().volume.upper.value_or(0.0), 1.0);
+        EXPECT_FALSE(a.value().guard.shed);
+      }
+    });
+  }
+  // kill -9 once the victim's executor holds a request in flight.
+  const pid_t parked = latch.wait_parked(std::chrono::seconds(30));
+  EXPECT_EQ(parked, old_pid) << "no request reached the victim's executor";
+  kill(old_pid, SIGKILL);
+  latch.release();
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(hung.load(), 0u) << "a client hung past the kill";
+  const std::uint64_t crashed_answers = crashed.load();
+
+  // The supervisor respawned the shard with a fresh process.
+  for (int i = 0; i < 200 && server.worker_pid(victim) == old_pid; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(server.worker_pid(victim), old_pid);
   EXPECT_GT(crashed_answers, 0u)
       << "kill -9 never caught a request in flight";
   EXPECT_GE(server.stats().respawns, 1u);

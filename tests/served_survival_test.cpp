@@ -35,6 +35,7 @@
 #include "cqa/util/bincode.h"
 #include "cqa/util/cancellation.h"
 #include "gtest/gtest.h"
+#include "park_latch.h"
 
 namespace cqa {
 namespace {
@@ -72,60 +73,61 @@ TEST(ServedSurvival, WatchdogKillsSigstoppedWorkerAndRespawns) {
   options.watchdog_budget_ms = 800;
   options.watchdog_interval_ms = 50;
   options.term_grace_ms = 100;
+  ParkLatch latch;  // before start(): the forked workers inherit it
   served::Server server(options);
   ASSERT_TRUE(server.start().is_ok());
 
-  std::uint64_t hung_answers = 0;
   std::uint64_t seed = 1;
   const std::size_t victim = server.shard_of(slow_mc(seed));
-  for (int attempt = 0; attempt < 3 && hung_answers == 0; ++attempt) {
-    std::vector<Request> batch;
-    while (batch.size() < 4) {
-      Request r = slow_mc(seed++);
-      if (server.shard_of(r) == victim) batch.push_back(std::move(r));
-    }
-    const pid_t old_pid = server.worker_pid(victim);
-    std::atomic<std::uint64_t> hung{0};
-    std::atomic<std::uint64_t> timed_out{0};
-    std::vector<std::thread> threads;
-    for (const Request& r : batch) {
-      threads.emplace_back([&, r] {
-        served::Client client = must_connect(options.unix_path);
-        auto a = client.call(r, /*timeout_ms=*/60000);
-        if (!a.is_ok()) {
-          if (a.status().code() == StatusCode::kDeadlineExceeded) {
-            timed_out.fetch_add(1);
-          }
-          return;
-        }
-        if (a.value().guard.worker_hung) {
-          hung.fetch_add(1);
-          // Honest degradation: certified trivial-1/2, [0, 1] bars,
-          // flagged degraded, and the flag names the watchdog path --
-          // never worker_crashed, never a made-up answer.
-          EXPECT_TRUE(a.value().degraded());
-          EXPECT_LE(a.value().volume.lower.value_or(1.0), 0.0);
-          EXPECT_GE(a.value().volume.upper.value_or(0.0), 1.0);
-          EXPECT_FALSE(a.value().guard.shed);
-          EXPECT_FALSE(a.value().guard.worker_crashed);
-        }
-      });
-    }
-    // Let the batch land in the victim's queue, then freeze the worker:
-    // no corpse for the supervisor to see, only a flat heartbeat.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    kill(old_pid, SIGSTOP);
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(timed_out.load(), 0u) << "a client hung past the watchdog";
-    hung_answers += hung.load();
-
-    // The watchdog escalated (SIGTERM cannot wake a stopped process;
-    // SIGKILL did) and the supervisor respawned the shard.
-    for (int i = 0; i < 400 && server.worker_pid(victim) == old_pid; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_NE(server.worker_pid(victim), old_pid);
+  std::vector<Request> batch;
+  while (batch.size() < 4) {
+    Request r = slow_mc(seed++);
+    if (server.shard_of(r) == victim) batch.push_back(std::move(r));
   }
+  const pid_t old_pid = server.worker_pid(victim);
+  std::atomic<std::uint64_t> hung{0};
+  std::atomic<std::uint64_t> timed_out{0};
+  std::vector<std::thread> threads;
+  latch.arm();
+  for (const Request& r : batch) {
+    threads.emplace_back([&, r] {
+      served::Client client = must_connect(options.unix_path);
+      auto a = client.call(r, /*timeout_ms=*/60000);
+      if (!a.is_ok()) {
+        if (a.status().code() == StatusCode::kDeadlineExceeded) {
+          timed_out.fetch_add(1);
+        }
+        return;
+      }
+      if (a.value().guard.worker_hung) {
+        hung.fetch_add(1);
+        // Honest degradation: certified trivial-1/2, [0, 1] bars,
+        // flagged degraded, and the flag names the watchdog path --
+        // never worker_crashed, never a made-up answer.
+        EXPECT_TRUE(a.value().degraded());
+        EXPECT_LE(a.value().volume.lower.value_or(1.0), 0.0);
+        EXPECT_GE(a.value().volume.upper.value_or(0.0), 1.0);
+        EXPECT_FALSE(a.value().guard.shed);
+        EXPECT_FALSE(a.value().guard.worker_crashed);
+      }
+    });
+  }
+  // Freeze the worker once its executor holds a request in flight: no
+  // corpse for the supervisor to see, only a flat heartbeat.
+  const pid_t parked = latch.wait_parked(std::chrono::seconds(30));
+  EXPECT_EQ(parked, old_pid) << "no request reached the victim's executor";
+  kill(old_pid, SIGSTOP);
+  latch.release();
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(timed_out.load(), 0u) << "a client hung past the watchdog";
+  const std::uint64_t hung_answers = hung.load();
+
+  // The watchdog escalated (SIGTERM cannot wake a stopped process;
+  // SIGKILL did) and the supervisor respawned the shard.
+  for (int i = 0; i < 400 && server.worker_pid(victim) == old_pid; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(server.worker_pid(victim), old_pid);
   EXPECT_GT(hung_answers, 0u)
       << "the SIGSTOP never caught a request in flight";
   EXPECT_GE(server.stats().hung_kills, 1u);

@@ -251,5 +251,40 @@ TEST(VolumeStats, FastPathsAreTaken) {
   EXPECT_GT(stats2.breakpoints, 0u);
 }
 
+TEST(VolumeStats, FeasibilityCallsArePerLevelNotPerSection) {
+  auto cells = cells_of(
+      "(0 <= x & x <= 2 & 0 <= y & y <= 2 & 0 <= z & z <= 2) | "
+      "(1 <= x & x <= 3 & 1 <= y & y <= 3 & 1 <= z & z <= 3) | "
+      "(0 <= x & 0 <= y & 0 <= z & x + y + z <= 4)",
+      3);
+  const std::size_t n = cells.size();
+  const std::size_t dim = 3;
+  VolumeStats stats;
+  Rational v = semilinear_volume_sweep(cells, &stats).value_or_die();
+  EXPECT_EQ(v, volume_inclusion_exclusion(cells).value_or_die());
+  // The top level runs one full-dimension test and dim boundedness
+  // projections per cell; every sweep call then projects each of its
+  // cells onto x_0 once (1-D calls read the bounds off the constraints).
+  EXPECT_LE(stats.feasibility_calls, n * (1 + dim) + n * stats.sweep_calls);
+  // No Fourier-Motzkin per section: fewer calls than sections.
+  EXPECT_LT(stats.feasibility_calls, stats.sections_evaluated);
+}
+
+TEST(SemilinearVolume, BreakpointsComeOnlyFromVerticesInACell) {
+  // Two far-apart rotated triangles. Extended edges of one cross those of
+  // the other, but only outside both, so those crossings are no
+  // breakpoints: only the six vertices' x-coordinates are.
+  auto cells = cells_of(
+      "(x <= 2*y & 2*x + y <= 5 & 3*x >= y) | "
+      "(2*x - 20 >= 3*y & 2*x - 24 <= y & 20 - 2*x <= y)",
+      2);
+  VolumeStats stats;
+  Rational v = semilinear_volume_sweep(cells, &stats).value_or_die();
+  EXPECT_EQ(v, Rational(5, 2) + Rational(4));
+  EXPECT_EQ(v, volume_inclusion_exclusion(cells).value_or_die());
+  // x-coordinates of the vertices: {0, 1, 2} and {10, 11, 13}.
+  EXPECT_EQ(stats.breakpoints, 6u);
+}
+
 }  // namespace
 }  // namespace cqa
