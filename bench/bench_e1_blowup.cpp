@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cqa/approx/monte_carlo.h"
 #include "cqa/core/constraint_database.h"
 #include "cqa/logic/transform.h"
+#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/vc/blowup.h"
 #include "cqa/volume/semilinear_volume.h"
 
@@ -44,8 +44,8 @@ void print_table() {
                  .value_or_die();
   const std::size_t y1 = db.var("y1"), y2 = db.var("y2");
   const std::size_t x1 = db.var("x1"), x2 = db.var("x2");
-  McVolumeEstimator est(&db.db(), phi, {y1, y2},
-                        blumer_sample_bound(0.02, 0.05, 4.0), 11);
+  ParallelSampler est(&db.db(), phi, {y1, y2},
+                      blumer_sample_bound(0.02, 0.05, 4.0), 11);
   for (auto [a, b] : std::vector<std::pair<int, int>>{
            {1, 3}, {0, 4}, {1, 2}, {0, 2}}) {
     Rational ra(a, 4), rb(b, 4);
@@ -73,8 +73,8 @@ void BM_McEstimateSection3(benchmark::State& state) {
   const std::size_t y1 = db.var("y1"), y2 = db.var("y2");
   const std::size_t x1 = db.var("x1"), x2 = db.var("x2");
   const double eps = 1.0 / static_cast<double>(state.range(0));
-  McVolumeEstimator est(&db.db(), phi, {y1, y2},
-                        blumer_sample_bound(eps, 0.05, 4.0), 7);
+  ParallelSampler est(&db.db(), phi, {y1, y2},
+                      blumer_sample_bound(eps, 0.05, 4.0), 7);
   for (auto _ : state) {
     auto v = est.estimate({{x1, Rational(1, 4)}, {x2, Rational(3, 4)}});
     benchmark::DoNotOptimize(v);

@@ -8,8 +8,8 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "cqa/approx/monte_carlo.h"
 #include "cqa/core/constraint_database.h"
+#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/vc/sample_bounds.h"
 
 namespace {
@@ -48,7 +48,7 @@ void print_table() {
       for (double delta : {0.1, 0.01}) {
         const double d = 3.0;
         const std::size_t m = blumer_sample_bound(eps, delta, d);
-        McVolumeEstimator est(&db.db(), phi, {x, y}, m, 31337);
+        ParallelSampler est(&db.db(), phi, {x, y}, m, 31337);
         double sup_err = 0;
         for (int i = 0; i <= 20; ++i) {
           Rational av(i, 20);
@@ -86,8 +86,8 @@ void BM_EstimateAcrossSampleSizes(benchmark::State& state) {
   ConstraintDatabase db;
   auto phi = db.parse("x^2 + y^2 <= a").value_or_die();
   const std::size_t x = db.var("x"), y = db.var("y"), a = db.var("a");
-  McVolumeEstimator est(&db.db(), phi, {x, y},
-                        static_cast<std::size_t>(state.range(0)), 5);
+  ParallelSampler est(&db.db(), phi, {x, y},
+                      static_cast<std::size_t>(state.range(0)), 5);
   for (auto _ : state) {
     auto v = est.estimate({{a, Rational(1, 2)}});
     benchmark::DoNotOptimize(v);
@@ -97,18 +97,6 @@ BENCHMARK(BM_EstimateAcrossSampleSizes)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000);
-
-void BM_SampleDraw(benchmark::State& state) {
-  ConstraintDatabase db;
-  auto phi = db.parse("x^2 + y^2 <= 1").value_or_die();
-  const std::size_t x = db.var("x"), y = db.var("y");
-  for (auto _ : state) {
-    McVolumeEstimator est(&db.db(), phi, {x, y},
-                          static_cast<std::size_t>(state.range(0)), 5);
-    benchmark::DoNotOptimize(est.sample_size());
-  }
-}
-BENCHMARK(BM_SampleDraw)->Arg(10000);
 
 }  // namespace
 

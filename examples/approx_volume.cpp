@@ -13,7 +13,7 @@
 
 #include "cqa/approx/ellipsoid.h"
 #include "cqa/approx/hit_and_run.h"
-#include "cqa/approx/monte_carlo.h"
+#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/runtime/session.h"
 #include "cqa/vc/sample_bounds.h"
 
@@ -31,7 +31,7 @@ int main() {
   // Family phi(a; x, y) = { (x,y) : x^2 + y^2 <= a } over parameter a.
   auto phi = db.parse("x^2 + y^2 <= a").value_or_die();
   const std::size_t ax = db.var("x"), ay = db.var("y"), aa = db.var("a");
-  McVolumeEstimator est(&db.db(), phi, {ax, ay}, m, /*seed=*/2718);
+  ParallelSampler est(&db.db(), phi, {ax, ay}, m, /*seed=*/2718);
   double sup_err = 0;
   for (int i = 1; i <= 9; ++i) {
     const double a = i / 10.0;

@@ -4,23 +4,9 @@
 
 #include "cqa/aggregate/sql_aggregates.h"
 #include "cqa/logic/transform.h"
+#include "cqa/runtime/parallel_sampler.h"
 
 namespace cqa {
-
-McVolumeEstimator::McVolumeEstimator(const Database* db, FormulaPtr phi,
-                                     std::vector<std::size_t> element_vars,
-                                     std::size_t sample_size,
-                                     std::uint64_t seed)
-    : db_(db), element_vars_(std::move(element_vars)) {
-  auto inlined = db->inline_predicates(phi);
-  CQA_CHECK(inlined.is_ok());
-  inlined_ = inlined.value();
-  WitnessOperator w(seed);
-  sample_ = w.draw_sample(sample_size, element_vars_.size());
-  auto compiled = CompiledMembership::compile(inlined_, element_vars_);
-  compile_status_ = compiled.status();
-  if (compiled.is_ok()) compiled_ = std::move(compiled).take();
-}
 
 Result<std::size_t> mc_count_hits(
     const FormulaPtr& inlined, const std::vector<std::size_t>& element_vars,
@@ -61,52 +47,14 @@ Result<std::size_t> mc_count_hits(
   return hits;
 }
 
-Result<std::shared_ptr<const CompiledMembership::Binding>>
-McVolumeEstimator::binding_for(
-    const std::map<std::size_t, Rational>& params) const {
-  std::lock_guard<std::mutex> lock(bind_mu_);
-  if (bound_ == nullptr || bound_params_ != params) {
-    auto b = compiled_.bind(params);
-    if (!b.is_ok()) return b.status();
-    bound_ = std::make_shared<const CompiledMembership::Binding>(
-        std::move(b).take());
-    bound_params_ = params;
-  }
-  return bound_;
-}
-
-Result<std::size_t> McVolumeEstimator::evaluate_chunk(
-    std::size_t begin, std::size_t end,
-    const std::map<std::size_t, Rational>& params,
-    const CancelToken* cancel) const {
-  if (begin > end || end > sample_.size()) {
-    return Status::out_of_range("evaluate_chunk: bad sample range");
-  }
-  CQA_RETURN_IF_ERROR(compile_status_);
-  auto binding = binding_for(params);
-  if (!binding.is_ok()) return binding.status();
-  return compiled_.count_hits(*binding.value(), sample_.data() + begin,
-                              end - begin, cancel);
-}
-
-Result<double> McVolumeEstimator::estimate(
-    const std::map<std::size_t, Rational>& params,
-    const CancelToken* cancel) const {
-  auto hits = evaluate_chunk(0, sample_.size(), params, cancel);
-  if (!hits.is_ok()) return hits.status();
-  if (sample_.empty()) return 0.0;
-  return static_cast<double>(hits.value()) /
-         static_cast<double>(sample_.size());
-}
-
 Result<double> mc_volume(const Database& db, const FormulaPtr& phi,
                          const std::vector<std::size_t>& element_vars,
                          const std::map<std::size_t, Rational>& params,
                          double epsilon, double delta, double vc_dim,
                          std::uint64_t seed) {
   const std::size_t m = blumer_sample_bound(epsilon, delta, vc_dim);
-  McVolumeEstimator est(&db, phi, element_vars, m, seed);
-  return est.estimate(params);
+  ParallelSampler sampler(&db, phi, element_vars, m, seed);
+  return sampler.estimate(params);
 }
 
 Result<Rational> mc_volume_in_language(
@@ -171,28 +119,16 @@ Result<double> halton_volume(const Database& db, const FormulaPtr& phi,
                              std::size_t points) {
   auto inlined = db.inline_predicates(phi);
   if (!inlined.is_ok()) return inlined.status();
-  if (!inlined.value()->is_quantifier_free()) {
-    return Status::unsupported("Halton membership requires a quantifier-free "
-                               "query");
-  }
-  int mv = inlined.value()->max_var();
-  for (std::size_t v : element_vars) mv = std::max(mv, static_cast<int>(v));
-  std::vector<double> point(static_cast<std::size_t>(mv + 1), 0.0);
-  for (const auto& [v, val] : params) {
-    if (v < point.size()) point[v] = val.to_double();
-  }
-  std::size_t hits = 0;
+  std::vector<std::vector<double>> sample;
+  sample.reserve(points);
   for (std::size_t i = 0; i < points; ++i) {
-    std::vector<double> y = halton_point(i, element_vars.size());
-    for (std::size_t j = 0; j < element_vars.size(); ++j) {
-      point[element_vars[j]] = y[j];
-    }
-    auto r = eval_qf_double(inlined.value(), point);
-    if (!r.is_ok()) return r.status();
-    if (r.value()) ++hits;
+    sample.push_back(halton_point(i, element_vars.size()));
   }
+  auto hits = mc_count_hits(inlined.value(), element_vars, params,
+                            sample.data(), points);
+  if (!hits.is_ok()) return hits.status();
   if (points == 0) return 0.0;
-  return static_cast<double>(hits) / static_cast<double>(points);
+  return static_cast<double>(hits.value()) / static_cast<double>(points);
 }
 
 }  // namespace cqa

@@ -5,13 +5,16 @@
 // phi(a, D) eps-approximates VOL_I(phi(a, D)) *simultaneously for all
 // parameters a* with probability >= 1 - delta. The counting is exactly
 // the FO+POLY+SUM expressible part; W supplies the sample.
+//
+// The estimator itself is ParallelSampler (cqa/runtime/parallel_sampler.h);
+// this header keeps the one-shot mc_volume() over it, the reference
+// interpreter mc_count_hits() the compiled kernel is tested against, the
+// Halton variant, and the in-language construction of Theorem 4.
 
 #ifndef CQA_APPROX_MONTE_CARLO_H_
 #define CQA_APPROX_MONTE_CARLO_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "cqa/aggregate/database.h"
@@ -21,61 +24,6 @@
 #include "cqa/vc/sample_bounds.h"
 
 namespace cqa {
-
-/// A reusable Theorem-4 estimator: one sample, many parameter queries.
-/// Membership runs on the CompiledMembership batch kernel, lowered once
-/// in the constructor; repeated estimate()/evaluate_chunk() calls with
-/// identical params reuse one cached parameter Binding instead of
-/// re-walking the params map.
-class McVolumeEstimator {
- public:
-  /// Draws the sample. `phi` is the query; `element_vars` are the volume
-  /// variables y (the sample lives in [0,1]^|y|); `sample_size` from
-  /// blumer_sample_bound (or any M the caller wants).
-  McVolumeEstimator(const Database* db, FormulaPtr phi,
-                    std::vector<std::size_t> element_vars,
-                    std::size_t sample_size, std::uint64_t seed);
-
-  /// Estimated VOL_I(phi(params, D)): hit fraction of the sample.
-  /// Membership is evaluated in double precision (boundary sets have
-  /// measure zero, so this does not bias the estimate). An expired
-  /// `cancel` token surfaces kCancelled / kDeadlineExceeded.
-  Result<double> estimate(const std::map<std::size_t, Rational>& params,
-                          const CancelToken* cancel = nullptr) const;
-
-  /// Hit count over sample indices [begin, end) -- the unit of parallel
-  /// work for cqa::runtime. Summing over any chunking of
-  /// [0, sample_size) reproduces estimate()'s hit count exactly.
-  Result<std::size_t> evaluate_chunk(
-      std::size_t begin, std::size_t end,
-      const std::map<std::size_t, Rational>& params,
-      const CancelToken* cancel = nullptr) const;
-
-  /// The query with predicates inlined (membership formula).
-  const FormulaPtr& inlined() const { return inlined_; }
-  /// The volume variables y (sample coordinates bind to these).
-  const std::vector<std::size_t>& element_vars() const {
-    return element_vars_;
-  }
-
-  std::size_t sample_size() const { return sample_.size(); }
-
- private:
-  // Cached params -> Binding fold; snapshot under bind_mu_ so concurrent
-  // evaluate_chunk callers share one immutable binding.
-  Result<std::shared_ptr<const CompiledMembership::Binding>> binding_for(
-      const std::map<std::size_t, Rational>& params) const;
-
-  const Database* db_;
-  FormulaPtr inlined_;  // phi with predicates inlined
-  std::vector<std::size_t> element_vars_;
-  std::vector<std::vector<double>> sample_;
-  Status compile_status_;  // surfaced from estimate()/evaluate_chunk()
-  CompiledMembership compiled_;
-  mutable std::mutex bind_mu_;
-  mutable std::map<std::size_t, Rational> bound_params_;
-  mutable std::shared_ptr<const CompiledMembership::Binding> bound_;
-};
 
 /// Reference membership-counting kernel: how many of the `count` points
 /// at `points` (each a |element_vars|-vector in [0,1)^m) satisfy the
@@ -92,7 +40,7 @@ Result<std::size_t> mc_count_hits(
     const CancelToken* cancel = nullptr);
 
 /// One-shot helper: estimate VOL_I(phi(params, D)) with the sample size
-/// implied by (epsilon, delta, vc_dim).
+/// implied by (epsilon, delta, vc_dim), on a serial ParallelSampler.
 Result<double> mc_volume(const Database& db, const FormulaPtr& phi,
                          const std::vector<std::size_t>& element_vars,
                          const std::map<std::size_t, Rational>& params,
@@ -100,7 +48,8 @@ Result<double> mc_volume(const Database& db, const FormulaPtr& phi,
                          std::uint64_t seed);
 
 /// Deterministic low-discrepancy variant (Halton), for the grid-vs-random
-/// comparison benches.
+/// comparison benches. Counts through mc_count_hits, so a params key
+/// outside the formula's variable range is a kInvalidArgument.
 Result<double> halton_volume(const Database& db, const FormulaPtr& phi,
                              const std::vector<std::size_t>& element_vars,
                              const std::map<std::size_t, Rational>& params,

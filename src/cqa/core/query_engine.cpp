@@ -1,39 +1,50 @@
 #include "cqa/core/query_engine.h"
 
+#include <algorithm>
+
 #include "cqa/logic/printer.h"
 #include "cqa/logic/transform.h"
 
 namespace cqa {
+
+Result<std::vector<std::size_t>> resolve_element_vars(
+    const ConstraintDatabase& db, const FormulaPtr& phi,
+    const std::vector<std::string>& output_vars) {
+  std::vector<std::size_t> element_vars;
+  element_vars.reserve(output_vars.size());
+  for (const auto& name : output_vars) {
+    const int idx = db.vars().find(name);
+    if (idx < 0) return Status::invalid("unknown output variable: " + name);
+    element_vars.push_back(static_cast<std::size_t>(idx));
+  }
+  for (std::size_t v : phi->free_vars()) {
+    if (std::find(element_vars.begin(), element_vars.end(), v) ==
+        element_vars.end()) {
+      return Status::invalid(
+          "query has a free variable that is not an output: " +
+          db.vars().name_of(v));
+    }
+  }
+  return element_vars;
+}
 
 Result<std::vector<LinearCell>> QueryEngine::cells(
     const std::string& query, const std::vector<std::string>& output_vars,
     const RewriteOptions& options) {
   auto rewritten = rewrite(query, options);
   if (!rewritten.is_ok()) return rewritten.status();
-  FormulaPtr qf = rewritten.value();
+  auto element_vars =
+      resolve_element_vars(*db_, rewritten.value(), output_vars);
+  if (!element_vars.is_ok()) return element_vars.status();
   // Remap the named outputs onto slots 0..k-1.
   std::map<std::size_t, Polynomial> sub;
-  std::set<std::size_t> outputs;
-  for (std::size_t i = 0; i < output_vars.size(); ++i) {
-    int idx = const_cast<ConstraintDatabase*>(db_)->vars().find(
-        output_vars[i]);
-    if (idx < 0) {
-      return Status::invalid("unknown output variable: " + output_vars[i]);
-    }
-    sub.emplace(static_cast<std::size_t>(idx), Polynomial::variable(i));
-    outputs.insert(static_cast<std::size_t>(idx));
-  }
-  for (std::size_t v : qf->free_vars()) {
-    if (!outputs.count(v)) {
-      return Status::invalid("query has a free variable that is not an "
-                             "output: " +
-                             db_->vars().name_of(v));
-    }
+  for (std::size_t i = 0; i < element_vars.value().size(); ++i) {
+    sub.emplace(element_vars.value()[i], Polynomial::variable(i));
   }
   if (options.cancel != nullptr) {
     CQA_RETURN_IF_ERROR(options.cancel->check());
   }
-  FormulaPtr remapped = substitute_vars(qf, sub);
+  FormulaPtr remapped = substitute_vars(rewritten.value(), sub);
   return formula_to_cells(remapped, output_vars.size());
 }
 

@@ -39,6 +39,15 @@ class RewriteCache {
   virtual void store(const std::string& key, const FormulaPtr& value) = 0;
 };
 
+/// Maps the named output variables to their variable indices, in order,
+/// and checks that every free variable of `phi` is one of them. Callers
+/// pick which formula to check: the parse (the query as written) or its
+/// rewrite. kInvalidArgument names the unknown output or the stray free
+/// variable.
+Result<std::vector<std::size_t>> resolve_element_vars(
+    const ConstraintDatabase& db, const FormulaPtr& phi,
+    const std::vector<std::string>& output_vars);
+
 /// Stateless query façade over a ConstraintDatabase.
 class QueryEngine {
  public:

@@ -5,8 +5,8 @@
 #include "cqa/approx/ellipsoid.h"
 #include "cqa/approx/gadgets.h"
 #include "cqa/approx/hit_and_run.h"
-#include "cqa/approx/monte_carlo.h"
 #include "cqa/logic/transform.h"
+#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/volume/growth.h"
 #include "cqa/volume/inclusion_exclusion.h"
 #include "cqa/volume/semilinear_volume.h"
@@ -36,33 +36,33 @@ Result<VolumeAnswer> VolumeEngine::volume(
   VolumeAnswer answer;
 
   if (options.strategy == VolumeStrategy::kMonteCarlo) {
-    // Monte-Carlo path works directly on the (inlined) formula, including
-    // polynomial constraints; always VOL_I semantics (samples live in the
-    // unit box).
+    // Theorem-4 sampling on the serial ParallelSampler, over the same
+    // memoized membership rewrite Session samples (expand + inline, plus
+    // linear QE when quantified), so the estimate is bit-identical to a
+    // forced-MC Session::run with the same (seed, eps, delta, vc_dim).
+    // Polynomial constraints are fine; always VOL_I semantics (samples
+    // live in the unit box). Output variables are checked against the
+    // query as written.
     auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
     if (!parsed.is_ok()) return parsed.status();
-    std::vector<std::size_t> element_vars;
-    for (const auto& name : output_vars) {
-      int idx = const_cast<ConstraintDatabase*>(db_)->vars().find(name);
-      if (idx < 0) return Status::invalid("unknown output variable: " + name);
-      element_vars.push_back(static_cast<std::size_t>(idx));
-    }
-    for (std::size_t v : parsed.value()->free_vars()) {
-      if (std::find(element_vars.begin(), element_vars.end(), v) ==
-          element_vars.end()) {
-        return Status::invalid("query has a free variable that is not an "
-                               "output: " +
-                               db_->vars().name_of(v));
-      }
-    }
+    auto element_vars =
+        resolve_element_vars(*db_, parsed.value(), output_vars);
+    if (!element_vars.is_ok()) return element_vars.status();
+    RewriteOptions rw;
+    rw.cancel = options.cancel;
+    rw.meter = options.meter;
+    auto membership = queries_.rewrite(query, rw);
+    if (!membership.is_ok()) return membership.status();
     std::size_t m =
         blumer_sample_bound(options.epsilon, options.delta, options.vc_dim);
     if (options.max_mc_samples > 0) {
       m = std::min(m, options.max_mc_samples);
     }
-    McVolumeEstimator est(&db_->db(), parsed.value(), element_vars, m,
-                          options.seed);
-    auto e = est.estimate({}, options.cancel);
+    ParallelSampler sampler(&db_->db(), membership.value(),
+                            element_vars.value(), m, options.seed,
+                            ParallelSampler::kDefaultChunkSize,
+                            options.meter);
+    auto e = sampler.estimate({}, /*pool=*/nullptr, options.cancel);
     if (!e.is_ok()) return e.status();
     answer.estimate = e.value();
     answer.lower = e.value() - options.epsilon;

@@ -209,13 +209,14 @@ std::vector<Result<McPartial>> ParallelSampler::estimate_partial_batch(
 }
 
 Result<double> ParallelSampler::estimate(
-    const std::map<std::size_t, Rational>& params, ThreadPool* pool) const {
-  auto r = estimate_partial(params, pool, /*cancel=*/nullptr);
+    const std::map<std::size_t, Rational>& params, ThreadPool* pool,
+    const CancelToken* cancel) const {
+  auto r = estimate_partial(params, pool, cancel);
   if (!r.is_ok()) return r.status();
-  // No token was passed, so an incomplete run can only mean injected
-  // spurious cancellation; refuse with a typed error rather than return
-  // a partial estimate as if it covered the full sample.
+  // Refuse with a typed error rather than return a partial estimate as
+  // if it covered the full sample.
   if (!r.value().complete) {
+    if (cancel != nullptr) CQA_RETURN_IF_ERROR(cancel->check());
     return Status::cancelled("sampler chunks dropped by injected fault");
   }
   return r.value().estimate;

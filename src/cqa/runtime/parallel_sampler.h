@@ -1,4 +1,6 @@
-// Chunked Theorem-4 Monte-Carlo estimation for the concurrent runtime.
+// Chunked Theorem-4 Monte-Carlo estimation: the one estimator behind
+// every Monte-Carlo volume (Session on its pool, VolumeEngine and
+// mc_volume serially).
 //
 // The M-point sample is partitioned into fixed-size chunks; chunk c
 // draws its points from Xoshiro(stream_seed(seed, c)) -- a counter-based
@@ -10,10 +12,9 @@
 // bitwise identical whether chunks run serially or on any number of
 // pool threads, in any interleaving.
 //
-// Unlike McVolumeEstimator, the sample is never materialized whole;
-// chunks stream their draws straight into per-thread SoA block scratch,
-// so a chunk is allocation-free and per-worker memory stays
-// O(block * dim) at any M.
+// The sample is never materialized whole; chunks stream their draws
+// straight into per-thread SoA block scratch, so a chunk is
+// allocation-free and per-worker memory stays O(block * dim) at any M.
 
 #ifndef CQA_RUNTIME_PARALLEL_SAMPLER_H_
 #define CQA_RUNTIME_PARALLEL_SAMPLER_H_
@@ -55,22 +56,32 @@ struct McBatchItem {
 
 class ParallelSampler {
  public:
+  /// Points per chunk unless the caller picks another; part of the
+  /// sample's identity (chunk c draws from stream_seed(seed, c)).
+  static constexpr std::size_t kDefaultChunkSize = 2048;
+
   /// `phi` is inlined against `db` and lowered into a CompiledMembership
-  /// plan once, up front (failure surfaces from estimate()). Same
-  /// argument meanings as McVolumeEstimator. Plan compilation charges
+  /// plan once, up front (failure surfaces from estimate()).
+  /// `element_vars` are the volume variables y (the sample lives in
+  /// [0,1]^|y|); `sample_size` is M, from blumer_sample_bound or any
+  /// size the caller wants. Plan compilation charges
   /// `meter` when given; a quota trip (or the kCompileMembership chaos
   /// fault) surfaces as kResourceExhausted, which sessions degrade down
   /// the guard ladder.
   ParallelSampler(const Database* db, FormulaPtr phi,
                   std::vector<std::size_t> element_vars,
                   std::size_t sample_size, std::uint64_t seed,
-                  std::size_t chunk_size = 2048,
+                  std::size_t chunk_size = kDefaultChunkSize,
                   guard::WorkMeter* meter = nullptr);
 
   /// Estimated VOL_I(phi(params, D)). `pool == nullptr` is the serial
-  /// reference path; any pool produces bitwise-identical results.
+  /// reference path; any pool produces bitwise-identical results. A run
+  /// that does not cover the whole sample is an error, never a partial
+  /// estimate: the expired `cancel` token's own status, or kCancelled
+  /// when chunks were dropped without one expiring (injected fault).
   Result<double> estimate(const std::map<std::size_t, Rational>& params,
-                          ThreadPool* pool = nullptr) const;
+                          ThreadPool* pool = nullptr,
+                          const CancelToken* cancel = nullptr) const;
 
   /// Best-so-far variant: runs chunks until done or `cancel` expires and
   /// reports whatever completed. Without a token (or an unexpired one)

@@ -126,6 +126,19 @@ struct Answer {
   bool degraded() const { return status == AnswerStatus::kDegraded; }
 };
 
+/// The last rung of the degradation ladder as a whole Answer: a
+/// degraded volume answer carrying Proposition 4's constant 1/2 with
+/// hard bars [0, 1], rung kTrivialHalf. Callers set the guard's shed /
+/// worker_crashed / worker_hung flags themselves.
+inline Answer degraded_half_answer() {
+  Answer a;
+  a.kind = RequestKind::kVolume;
+  a.status = AnswerStatus::kDegraded;
+  a.volume = trivial_half_volume(true);
+  a.guard.rung = guard::Rung::kTrivialHalf;
+  return a;
+}
+
 /// Structural validation, run before any engine: empty query, epsilon
 /// or delta outside (0, 1), volume-kind request without output
 /// variables, aggregate arity. kInvalidArgument with a message naming

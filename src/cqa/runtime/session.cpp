@@ -34,6 +34,54 @@ guard::Rung rung_of(const VolumeAnswer& v) {
   return guard::Rung::kMonteCarlo;
 }
 
+// A pinned-strategy volume answer: its rung and status follow the volume.
+Answer pinned_answer(VolumeAnswer v) {
+  Answer a;
+  a.kind = RequestKind::kVolume;
+  a.guard.rung = rung_of(v);
+  if (v.degraded) a.status = AnswerStatus::kDegraded;
+  a.volume = std::move(v);
+  return a;
+}
+
+// The one McPartial -> VolumeAnswer assembly, for solo and batched runs
+// alike: complete -> +-target_epsilon bars; partial -> the Hoeffding
+// half-width the completed chunks support, degraded; nothing completed
+// -> trivial 1/2. points_requested is the full sample size M throughout.
+VolumeAnswer mc_volume_answer(const McPartial& p, double target_epsilon,
+                              double delta) {
+  VolumeAnswer v;
+  if (p.complete) {
+    v.estimate = p.estimate;
+    v.lower = p.estimate - target_epsilon;
+    v.upper = p.estimate + target_epsilon;
+  } else if (p.evaluated == 0) {
+    // Expired before a single chunk finished: nothing to estimate from.
+    v = trivial_half_volume(true);
+  } else {
+    // Best-so-far: the completed chunks are i.i.d. slices of the planned
+    // sample (up to the mild survivorship caveat in parallel_sampler.h).
+    const double eps = hoeffding_epsilon(delta, p.evaluated);
+    v.degraded = true;
+    v.estimate = p.estimate;
+    v.lower = std::max(0.0, p.estimate - eps);
+    v.upper = std::min(1.0, p.estimate + eps);
+  }
+  v.points_evaluated = p.evaluated;
+  v.points_requested = p.requested;
+  return v;
+}
+
+// Sample size of a pinned Monte-Carlo request: the Blumer bound at its
+// (epsilon, delta, vc_dim), capped by max_mc_samples.
+std::size_t mc_sample_size(const Request& r) {
+  const double vc_dim = r.vc_dim.value_or(VolumeOptions{}.vc_dim);
+  std::size_t m =
+      blumer_sample_bound(r.budget.epsilon, r.budget.delta, vc_dim);
+  if (r.max_mc_samples > 0) m = std::min(m, r.max_mc_samples);
+  return m;
+}
+
 }  // namespace
 
 Session::Session(const ConstraintDatabase* db, const SessionOptions& options)
@@ -107,13 +155,7 @@ Result<Answer> Session::run(const Request& request) {
       // FaultSite::kBigIntAlloc. Volume requests still own a sound
       // answer (the last rung); everything else gets a typed error.
       if (request.kind == RequestKind::kVolume) {
-        Answer a;
-        a.kind = RequestKind::kVolume;
-        a.status = AnswerStatus::kDegraded;
-        a.volume = trivial_half_volume(true);
-        a.guard.rung = guard::Rung::kTrivialHalf;
-        planner_degraded_total_->inc();
-        return a;
+        return degraded_half_answer();
       }
       return Status::resource_exhausted(
           "allocation failure during query evaluation");
@@ -125,6 +167,7 @@ Result<Answer> Session::run(const Request& request) {
 
   if (result.is_ok()) {
     Answer& answer = result.value();
+    if (answer.degraded()) planner_degraded_total_->inc();
     const guard::Rung rung = answer.guard.rung;
     answer.guard = guard::make_report(meter);
     answer.guard.rung = rung;
@@ -236,23 +279,12 @@ Result<Answer> Session::run_volume(const Request& request,
     // arms the deadline and MC sample sizing. A tripped quota degrades
     // to the last rung (expiry keeps its pre-guard error contract for
     // pinned strategies).
-    Answer answer;
-    answer.kind = RequestKind::kVolume;
     auto v = forced_volume(request, *request.strategy, token, meter);
-    if (!v.is_ok()) {
-      if (v.status().code() != StatusCode::kResourceExhausted) {
-        return v.status();
-      }
-      answer.volume = trivial_half_volume(true);
-    } else {
-      answer.volume = v.value();
+    if (v.is_ok()) return pinned_answer(std::move(v).take());
+    if (v.status().code() != StatusCode::kResourceExhausted) {
+      return v.status();
     }
-    answer.guard.rung = rung_of(answer.volume);
-    if (answer.volume.degraded) {
-      answer.status = AnswerStatus::kDegraded;
-      planner_degraded_total_->inc();
-    }
-    return answer;
+    return degraded_half_answer();
   }
   return run_planned_volume(request, token, meter);
 }
@@ -284,13 +316,7 @@ Result<Answer> Session::run_planned_volume(const Request& request,
     if (rewritten.is_ok()) {
       analysis = rewritten.value();
     } else if (is_degradable(rewritten.status())) {
-      Answer degraded;
-      degraded.kind = RequestKind::kVolume;
-      degraded.status = AnswerStatus::kDegraded;
-      degraded.volume = trivial_half_volume(true);
-      degraded.guard.rung = guard::Rung::kTrivialHalf;
-      planner_degraded_total_->inc();
-      return degraded;
+      return degraded_half_answer();
     } else {
       return rewritten.status();
     }
@@ -373,7 +399,6 @@ Result<Answer> Session::run_planned_volume(const Request& request,
   }
   if (answer.volume.degraded || decision.degrade_preplanned) {
     answer.status = AnswerStatus::kDegraded;
-    planner_degraded_total_->inc();
   }
   return answer;
 }
@@ -382,8 +407,6 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
                                             VolumeStrategy strategy,
                                             CancelToken* token,
                                             guard::WorkMeter* meter) {
-  VolumeOptions defaults;
-  const double vc_dim = request.vc_dim.value_or(defaults.vc_dim);
   if (strategy == VolumeStrategy::kMonteCarlo) {
     auto membership = mc_membership_formula(request.query, token, meter);
     if (!membership.is_ok()) {
@@ -394,12 +417,8 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
       }
       return membership.status();
     }
-    std::size_t m = blumer_sample_bound(request.budget.epsilon,
-                                        request.budget.delta, vc_dim);
-    if (request.max_mc_samples > 0) {
-      m = std::min(m, request.max_mc_samples);
-    }
-    return pooled_monte_carlo(request, membership.value(), m,
+    return pooled_monte_carlo(request, membership.value(),
+                              mc_sample_size(request),
                               request.budget.epsilon, token, meter);
   }
   VolumeOptions vo;
@@ -407,8 +426,6 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
   vo.epsilon = request.budget.epsilon;
   vo.delta = request.budget.delta;
   vo.seed = request.seed;
-  vo.vc_dim = vc_dim;
-  if (request.max_mc_samples > 0) vo.max_mc_samples = request.max_mc_samples;
   vo.cancel = token;
   vo.meter = meter;
   return volumes_.volume(request.query, request.output_vars, vo);
@@ -437,90 +454,16 @@ Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
   // rewrite (QE may simplify a stray free variable away).
   auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(request.query);
   if (!parsed.is_ok()) return parsed.status();
-  std::vector<std::size_t> element_vars;
-  for (const auto& name : request.output_vars) {
-    int idx = const_cast<ConstraintDatabase*>(db_)->vars().find(name);
-    if (idx < 0) return Status::invalid("unknown output variable: " + name);
-    element_vars.push_back(static_cast<std::size_t>(idx));
-  }
-  for (std::size_t v : parsed.value()->free_vars()) {
-    if (std::find(element_vars.begin(), element_vars.end(), v) ==
-        element_vars.end()) {
-      return Status::invalid(
-          "query has a free variable that is not an output: " +
-          db_->vars().name_of(v));
-    }
-  }
-  ParallelSampler sampler(&db_->db(), membership, element_vars,
+  auto element_vars =
+      resolve_element_vars(*db_, parsed.value(), request.output_vars);
+  if (!element_vars.is_ok()) return element_vars.status();
+  ParallelSampler sampler(&db_->db(), membership, element_vars.value(),
                           sample_size, request.seed,
                           options_.mc_chunk_size, meter);
   auto est = sampler.estimate_partial({}, &pool_, token);
   if (!est.is_ok()) return est.status();
-  const McPartial& p = est.value();
-  mc_points_evaluated_total_->inc(p.evaluated);
-
-  VolumeAnswer answer;
-  answer.points_evaluated = p.evaluated;
-  answer.points_requested = p.requested;
-  if (p.complete) {
-    answer.estimate = p.estimate;
-    answer.lower = p.estimate - target_epsilon;
-    answer.upper = p.estimate + target_epsilon;
-    return answer;
-  }
-  if (p.evaluated == 0) {
-    // Expired before a single chunk finished: nothing to estimate from.
-    return trivial_half_volume(true);
-  }
-  // Best-so-far: the completed chunks are i.i.d. slices of the planned
-  // sample (up to the mild survivorship caveat in parallel_sampler.h);
-  // widen the bars to the Hoeffding half-width the smaller sample
-  // supports.
-  const double eps = hoeffding_epsilon(request.budget.delta, p.evaluated);
-  answer.degraded = true;
-  answer.estimate = p.estimate;
-  answer.lower = std::max(0.0, p.estimate - eps);
-  answer.upper = std::min(1.0, p.estimate + eps);
-  return answer;
-}
-
-// Wraps one batch member's McPartial exactly the way pooled_monte_carlo
-// + run_volume would have: complete -> +-epsilon bars, partial ->
-// Hoeffding-shrunk degraded bars, empty -> trivial 1/2.
-Result<Answer> Session::finish_mc_answer(const Request& request,
-                                         Result<McPartial> part,
-                                         double target_epsilon) {
-  if (!part.is_ok()) return part.status();
-  const McPartial& p = part.value();
-  mc_points_evaluated_total_->inc(p.evaluated);
-
-  Answer answer;
-  answer.kind = RequestKind::kVolume;
-  VolumeAnswer& v = answer.volume;
-  v.points_evaluated = p.evaluated;
-  v.points_requested = p.requested;
-  if (p.complete) {
-    v.estimate = p.estimate;
-    v.lower = p.estimate - target_epsilon;
-    v.upper = p.estimate + target_epsilon;
-  } else if (p.evaluated == 0) {
-    v = trivial_half_volume(true);
-    v.points_requested = p.requested;
-  } else {
-    const double eps = hoeffding_epsilon(request.budget.delta, p.evaluated);
-    v.degraded = true;
-    v.estimate = p.estimate;
-    v.lower = std::max(0.0, p.estimate - eps);
-    v.upper = std::min(1.0, p.estimate + eps);
-  }
-  answer.guard.rung = rung_of(v);
-  if (v.degraded) {
-    answer.status = AnswerStatus::kDegraded;
-    planner_degraded_total_->inc();
-  }
-  // run_mc_batch fills in the member's metered usage and records the
-  // guard report when it resolves the slot.
-  return answer;
+  mc_points_evaluated_total_->inc(est.value().evaluated);
+  return mc_volume_answer(est.value(), target_epsilon, request.budget.delta);
 }
 
 std::vector<Result<Answer>> Session::run_mc_batch(
@@ -553,6 +496,7 @@ std::vector<Result<Answer>> Session::run_mc_batch(
     resolved[i] = true;
     if (r.is_ok()) {
       Answer& a = r.value();
+      if (a.degraded()) planner_degraded_total_->inc();
       const guard::Rung rung = a.guard.rung;
       a.guard = guard::make_report(*meters[i]);
       a.guard.rung = rung;
@@ -564,15 +508,6 @@ std::vector<Result<Answer>> Session::run_mc_batch(
       record_guard(guard::make_report(*meters[i]));
     }
     results[i] = std::move(r);
-  };
-  auto degraded_half = [&]() {
-    Answer a;
-    a.kind = RequestKind::kVolume;
-    a.status = AnswerStatus::kDegraded;
-    a.volume = trivial_half_volume(true);
-    a.guard.rung = guard::Rung::kTrivialHalf;
-    planner_degraded_total_->inc();
-    return a;
   };
   auto fail_rest = [&](const Status& s) {
     for (std::size_t i = 0; i < n; ++i) resolve(i, s);
@@ -602,7 +537,7 @@ std::vector<Result<Answer>> Session::run_mc_batch(
       if (membership.is_ok()) {
         have_membership = true;
       } else if (is_degradable(membership.status())) {
-        resolve(i, degraded_half());
+        resolve(i, degraded_half_answer());
       } else {
         return fail_rest(membership.status());
       }
@@ -612,41 +547,24 @@ std::vector<Result<Answer>> Session::run_mc_batch(
     const Request& head = *requests[0];
     auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(head.query);
     if (!parsed.is_ok()) return fail_rest(parsed.status());
-    std::vector<std::size_t> element_vars;
-    for (const auto& name : head.output_vars) {
-      int idx = const_cast<ConstraintDatabase*>(db_)->vars().find(name);
-      if (idx < 0) {
-        return fail_rest(Status::invalid("unknown output variable: " + name));
-      }
-      element_vars.push_back(static_cast<std::size_t>(idx));
-    }
-    for (std::size_t v : parsed.value()->free_vars()) {
-      if (std::find(element_vars.begin(), element_vars.end(), v) ==
-          element_vars.end()) {
-        return fail_rest(Status::invalid(
-            "query has a free variable that is not an output: " +
-            db_->vars().name_of(v)));
-      }
-    }
+    auto element_vars =
+        resolve_element_vars(*db_, parsed.value(), head.output_vars);
+    if (!element_vars.is_ok()) return fail_rest(element_vars.status());
 
     // One sampler per still-live member: its own Blumer-sized sample
     // from its own (epsilon, delta, vc_dim, seed), capped by its own
     // max_mc_samples -- the identical construction pooled_monte_carlo
     // would use solo.
-    VolumeOptions defaults;
     std::vector<std::size_t> live;
     std::vector<std::unique_ptr<ParallelSampler>> samplers;
     std::vector<McBatchItem> items;
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i]) continue;
       const Request& r = *requests[i];
-      std::size_t m =
-          blumer_sample_bound(r.budget.epsilon, r.budget.delta,
-                              r.vc_dim.value_or(defaults.vc_dim));
-      if (r.max_mc_samples > 0) m = std::min(m, r.max_mc_samples);
       samplers.push_back(std::make_unique<ParallelSampler>(
-          &db_->db(), membership.value(), element_vars, m, r.seed,
-          options_.mc_chunk_size, meters[i].get()));
+          &db_->db(), membership.value(), element_vars.value(),
+          mc_sample_size(r), r.seed, options_.mc_chunk_size,
+          meters[i].get()));
       items.push_back(McBatchItem{samplers.back().get(), tokens[i]});
       live.push_back(i);
     }
@@ -655,19 +573,23 @@ std::vector<Result<Answer>> Session::run_mc_batch(
         ParallelSampler::estimate_partial_batch(items, {}, &pool_);
     for (std::size_t k = 0; k < live.size(); ++k) {
       const std::size_t i = live[k];
-      auto fin = finish_mc_answer(*requests[i], std::move(parts[k]),
-                                  requests[i]->budget.epsilon);
-      // A member whose own quota tripped (e.g. during its sampler's
-      // plan compilation) degrades to trivial-1/2 like a solo run;
-      // structural errors still fail that slot.
-      if (!fin.is_ok() && is_degradable(fin.status())) {
-        resolve(i, degraded_half());
+      const Result<McPartial>& part = parts[k];
+      if (part.is_ok()) {
+        mc_points_evaluated_total_->inc(part.value().evaluated);
+        resolve(i, pinned_answer(mc_volume_answer(
+                       part.value(), requests[i]->budget.epsilon,
+                       requests[i]->budget.delta)));
+      } else if (is_degradable(part.status())) {
+        // A member whose own quota tripped (e.g. during its sampler's
+        // plan compilation) degrades to trivial-1/2 like a solo run;
+        // structural errors still fail that slot.
+        resolve(i, degraded_half_answer());
       } else {
-        resolve(i, std::move(fin));
+        resolve(i, part.status());
       }
     }
   } catch (const std::bad_alloc&) {
-    for (std::size_t i = 0; i < n; ++i) resolve(i, degraded_half());
+    for (std::size_t i = 0; i < n; ++i) resolve(i, degraded_half_answer());
   } catch (const std::exception& e) {
     const Status s = Status::internal(
         std::string("query evaluation threw: ") + e.what());

@@ -77,7 +77,7 @@ struct SessionOptions {
   std::size_t rewrite_cache_capacity = 512;
   std::size_t volume_cache_capacity = 512;
   std::size_t cache_shards = 8;
-  std::size_t mc_chunk_size = 2048;
+  std::size_t mc_chunk_size = ParallelSampler::kDefaultChunkSize;
   CostModel cost_model;  // planner calibration
 
   // Serving layer (submit()); see serve::SchedulerOptions.
@@ -173,9 +173,6 @@ class Session {
   std::vector<Result<Answer>> run_mc_batch(
       const std::vector<const Request*>& requests,
       const std::vector<CancelToken*>& tokens);
-  Result<Answer> finish_mc_answer(const Request& request,
-                                  Result<McPartial> part,
-                                  double target_epsilon);
   void record_plan(const PlanDecision& decision);
   void record_guard(const guard::GuardReport& report);
 

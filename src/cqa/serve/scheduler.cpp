@@ -162,11 +162,7 @@ Ticket Scheduler::submit(Request request) {
       // serve get the typed error.
       shed_->inc();
       if (kind == RequestKind::kVolume) {
-        Answer a;
-        a.kind = RequestKind::kVolume;
-        a.status = AnswerStatus::kDegraded;
-        a.volume = trivial_half_volume(true);
-        a.guard.rung = guard::Rung::kTrivialHalf;
+        Answer a = degraded_half_answer();
         a.guard.shed = true;
         publish(state, std::move(a));
       } else {

@@ -918,11 +918,7 @@ void Server::resolve_pending(Pending&& entry, MsgType type,
 
 std::string Server::degraded_payload(RequestKind kind, DegradeReason why) {
   if (kind == RequestKind::kVolume) {
-    Answer a;
-    a.kind = RequestKind::kVolume;
-    a.status = AnswerStatus::kDegraded;
-    a.volume = trivial_half_volume(true);
-    a.guard.rung = guard::Rung::kTrivialHalf;
+    Answer a = degraded_half_answer();
     a.guard.shed = why == DegradeReason::kShed;
     a.guard.worker_crashed = why == DegradeReason::kCrashed;
     a.guard.worker_hung = why == DegradeReason::kHung;

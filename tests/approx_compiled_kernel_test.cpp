@@ -260,40 +260,42 @@ TEST(CompiledKernel, UnexpiredTokenCompletes) {
             mc_count_hits(f, {0}, {}, pts.data(), pts.size()).value());
 }
 
-// --- Estimator plumbing ----------------------------------------------
+// --- Binding reuse and chunk splits --------------------------------
 
-TEST(McVolumeEstimator, CompiledChunksMatchInterpreterOnSharedSample) {
+TEST(CompiledMembership, CountHitsMatchesInterpreterOnSharedSample) {
   Database db;
   VarTable vars;
   auto phi = parse_formula("x^2 + y^2 <= a", &vars).value_or_die();
   const std::size_t a = static_cast<std::size_t>(vars.find("a"));
   const std::size_t sample_size = 5000;
-  const std::uint64_t seed = 99;
-  McVolumeEstimator est(&db, phi, {0, 1}, sample_size, seed);
-  // The estimator's sample is WitnessOperator(seed) by construction.
-  auto sample = draw_points(seed, sample_size, 2);
+  auto sample = draw_points(/*seed=*/99, sample_size, 2);
+  CompiledMembership compiled = must_compile(phi, {0, 1});
   for (int num = 1; num <= 5; num += 2) {
     const std::map<std::size_t, Rational> params{{a, Rational(num, 5)}};
-    // Repeated calls with identical params exercise the cached Binding.
+    // One binding, counted twice: a Binding is reusable across calls.
+    auto b = compiled.bind(params).value_or_die();
     for (int repeat = 0; repeat < 2; ++repeat) {
-      auto chunked = est.evaluate_chunk(0, sample_size, params);
+      auto hits = compiled.count_hits(b, sample.data(), sample_size);
       auto ref = mc_count_hits(phi, {0, 1}, params, sample.data(),
                                sample_size);
-      ASSERT_TRUE(chunked.is_ok() && ref.is_ok());
-      EXPECT_EQ(chunked.value(), ref.value()) << "a=" << num << "/5";
+      ASSERT_TRUE(hits.is_ok() && ref.is_ok());
+      EXPECT_EQ(hits.value(), ref.value()) << "a=" << num << "/5";
     }
   }
   // Chunk splits still sum to the whole.
-  const std::map<std::size_t, Rational> params{{a, Rational(1, 2)}};
-  auto whole = est.evaluate_chunk(0, sample_size, params).value_or_die();
+  auto b = compiled.bind({{a, Rational(1, 2)}}).value_or_die();
+  auto whole = compiled.count_hits(b, sample.data(), sample_size)
+                   .value_or_die();
   std::size_t split = 0;
   for (std::size_t lo = 0; lo < sample_size; lo += 777) {
     const std::size_t hi = std::min(sample_size, lo + 777);
-    split += est.evaluate_chunk(lo, hi, params).value_or_die();
+    split += compiled.count_hits(b, sample.data() + lo, hi - lo)
+                 .value_or_die();
   }
   EXPECT_EQ(whole, split);
-  // begin == end is a legal empty chunk.
-  EXPECT_EQ(est.evaluate_chunk(123, 123, params).value_or_die(), 0u);
+  // An empty range counts nothing.
+  EXPECT_EQ(compiled.count_hits(b, sample.data() + 123, 0).value_or_die(),
+            0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "cqa/approx/monte_carlo.h"
 #include "cqa/logic/parser.h"
+#include "cqa/runtime/parallel_sampler.h"
 
 namespace cqa {
 namespace {
@@ -89,7 +90,7 @@ TEST(McInLanguage, AgreesWithDoubleEstimator) {
   std::size_t vy = static_cast<std::size_t>(vars.find("y"));
   Rational in_lang =
       mc_volume_in_language(&db, phi, {vx, vy}, {}, 500, 21).value_or_die();
-  McVolumeEstimator est(&db, phi, {vx, vy}, 20000, 22);
+  ParallelSampler est(&db, phi, {vx, vy}, 20000, 22);
   double fast = est.estimate({}).value_or_die();
   EXPECT_NEAR(in_lang.to_double(), fast, 0.08);
   EXPECT_NEAR(fast, 1.0 / 3.0, 0.02);

@@ -8,6 +8,7 @@
 #include "cqa/approx/monte_carlo.h"
 #include "cqa/approx/random.h"
 #include "cqa/logic/parser.h"
+#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/volume/semilinear_volume.h"
 
 namespace cqa {
@@ -76,8 +77,8 @@ TEST(MonteCarlo, UniformOverParameters) {
   std::size_t a = static_cast<std::size_t>(vars.find("a"));
   std::size_t y1 = static_cast<std::size_t>(vars.find("y1"));
   std::size_t y2 = static_cast<std::size_t>(vars.find("y2"));
-  McVolumeEstimator est(&db, f, {y1, y2},
-                        blumer_sample_bound(0.05, 0.05, 3.0), 4321);
+  ParallelSampler est(&db, f, {y1, y2},
+                      blumer_sample_bound(0.05, 0.05, 3.0), 4321);
   double sup_err = 0;
   for (int num = 0; num <= 10; ++num) {
     Rational av(num, 10);
@@ -95,6 +96,19 @@ TEST(MonteCarlo, HaltonConvergesFaster) {
   std::size_t y = static_cast<std::size_t>(vars.find("y"));
   double h = halton_volume(db, f, {x, y}, {}, 4096).value_or_die();
   EXPECT_NEAR(h, M_PI / 4.0, 0.01);
+}
+
+TEST(MonteCarlo, HaltonRejectsParameterOutsideVariableRange) {
+  // Halton counts through the reference mc_count_hits, which refuses a
+  // parameter index the formula cannot bind instead of ignoring it.
+  Database db;
+  VarTable vars;
+  auto f = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
+  std::size_t x = static_cast<std::size_t>(vars.find("x"));
+  std::size_t y = static_cast<std::size_t>(vars.find("y"));
+  auto h = halton_volume(db, f, {x, y}, {{7, Rational(1, 2)}}, 64);
+  ASSERT_FALSE(h.is_ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MonteCarlo, RejectsQuantified) {

@@ -113,6 +113,18 @@ TEST(VolumeEngine, MonteCarloWithinEpsilon) {
   EXPECT_GT(*a.upper, *a.estimate);
 }
 
+TEST(VolumeEngine, MonteCarloOnUnknownRelationIsAnError) {
+  // The Monte-Carlo path inlines through the rewrite pipeline, so an
+  // unknown relation is a typed error, not an abort.
+  ConstraintDatabase db;
+  VolumeEngine v(&db);
+  VolumeOptions mc;
+  mc.strategy = VolumeStrategy::kMonteCarlo;
+  auto a = v.volume("Foo(x, y)", {"x", "y"}, mc);
+  ASSERT_FALSE(a.is_ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(VolumeEngine, EllipsoidBoundsSandwich) {
   ConstraintDatabase db = make_gis_db();
   VolumeEngine v(&db);

@@ -85,25 +85,6 @@ TEST(ParallelSampler, SeedAndChunkSizeChangeTheSample) {
   EXPECT_NE(e1, e3);  // chunk layout is part of the sample's identity
 }
 
-TEST(McVolumeEstimator, ChunkSumsReproduceEstimate) {
-  Database db;
-  VarTable vars;
-  auto phi = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
-  const std::size_t x = static_cast<std::size_t>(vars.find("x"));
-  const std::size_t y = static_cast<std::size_t>(vars.find("y"));
-  McVolumeEstimator est(&db, phi, {x, y}, 5000, 99);
-  const double whole = est.estimate({}).value_or_die();
-  std::size_t hits = 0;
-  for (std::size_t lo = 0; lo < est.sample_size(); lo += 777) {
-    const std::size_t hi = std::min(est.sample_size(), lo + 777);
-    hits += est.evaluate_chunk(lo, hi, {}).value_or_die();
-  }
-  EXPECT_EQ(whole, static_cast<double>(hits) /
-                       static_cast<double>(est.sample_size()));
-  EXPECT_EQ(est.element_vars().size(), 2u);
-  EXPECT_TRUE(est.inlined()->is_quantifier_free());
-}
-
 TEST(Session, MonteCarloVolumeIndependentOfThreadCount) {
   auto run = [](std::size_t threads) {
     ConstraintDatabase db;

@@ -124,6 +124,13 @@ TEST(RuntimeScaling, CancelledTokenDropsChunksWhole) {
   EXPECT_FALSE(part.complete);
   EXPECT_EQ(part.evaluated, 0u);
   EXPECT_EQ(part.requested, 50000u);
+  // estimate() refuses an incomplete run with the token's own status.
+  EXPECT_EQ(sampler.estimate({}, &pool, &token).status().code(),
+            StatusCode::kCancelled);
+  CancelToken expired;
+  expired.set_deadline_after_ms(0);
+  EXPECT_EQ(sampler.estimate({}, nullptr, &expired).status().code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 TEST(RuntimeScaling, PartialChunksAreWholeMultiples) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
@@ -182,6 +184,44 @@ TEST(SessionRunTest, ForcedMonteCarloOnQuantifiedQuery) {
   ASSERT_TRUE(a.is_ok()) << a.status().to_string();
   ASSERT_TRUE(a.value().volume.estimate.has_value());
   EXPECT_NEAR(*a.value().volume.estimate, 0.5, 0.06);
+}
+
+TEST(SessionRunTest, ForcedMonteCarloMatchesVolumeEngineBitForBit) {
+  // One Theorem-4 estimator: VolumeEngine's serial Monte-Carlo path and
+  // Session's pooled one sample the same membership rewrite with the
+  // same chunked stream, so equal (seed, eps, delta, vc_dim) give equal
+  // bits -- for a polynomial query and for a quantified FO+LIN one.
+  for (const char* query :
+       {"x^2 + y^2 <= 1", "E z. (0 <= z & z <= x & 0 <= y & y <= 1)"}) {
+    ConstraintDatabase db;
+    Session session(&db, two_threads());
+    auto run = session.run(Request::volume(query)
+                               .vars({"x", "y"})
+                               .strategy(VolumeStrategy::kMonteCarlo)
+                               .epsilon(0.03)
+                               .delta(0.05)
+                               .vc_dim(3.0)
+                               .seed(77));
+    ASSERT_TRUE(run.is_ok()) << query << ": " << run.status().to_string();
+    VolumeEngine engine(&db);
+    VolumeOptions vo;
+    vo.strategy = VolumeStrategy::kMonteCarlo;
+    vo.epsilon = 0.03;
+    vo.delta = 0.05;
+    vo.vc_dim = 3.0;
+    vo.seed = 77;
+    auto direct = engine.volume(query, {"x", "y"}, vo);
+    ASSERT_TRUE(direct.is_ok())
+        << query << ": " << direct.status().to_string();
+    const VolumeAnswer& s = run.value().volume;
+    const VolumeAnswer& e = direct.value();
+    ASSERT_TRUE(s.estimate.has_value() && e.estimate.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*s.estimate),
+              std::bit_cast<std::uint64_t>(*e.estimate))
+        << query;
+    EXPECT_EQ(s.points_requested, e.points_requested) << query;
+    EXPECT_EQ(s.points_evaluated, e.points_evaluated) << query;
+  }
 }
 
 TEST(SessionRunTest, ForcedStrategyBypassesPlanner) {

@@ -444,6 +444,55 @@ TEST(ServeScheduler, BatchSurvivesInjectedAllocationFailure) {
   }
 }
 
+TEST(ServeScheduler, BatchedMemberWithEveryChunkDroppedMatchesRun) {
+  // With every sampler chunk dropped (kSpuriousCancel at rate 1), a
+  // batched forced-MC member must carry exactly the answer run() gives
+  // the same request: the same trivial-1/2 rung, bars and point counts.
+  ConstraintDatabase db;
+  Session session(&db, serve_opts());
+  serve::Scheduler& sched = session.scheduler();
+  sched.pause();
+  auto mc = [](std::uint64_t seed) {
+    return Request::volume(kDisk)
+        .vars({"x", "y"})
+        .strategy(VolumeStrategy::kMonteCarlo)
+        .epsilon(0.05)
+        .vc_dim(3.0)
+        .seed(seed)
+        .build();
+  };
+  const std::vector<std::uint64_t> seeds = {7, 9};
+  std::vector<serve::Ticket> tickets;
+  for (std::uint64_t s : seeds) tickets.push_back(session.submit(mc(s)));
+
+  guard::FaultPlan plan;
+  plan.seed = 99;
+  plan.rate[static_cast<std::size_t>(guard::FaultSite::kSpuriousCancel)] =
+      1.0;
+  guard::FaultInjector injector(plan);
+  guard::ScopedFaultInjector scoped(&injector);
+  sched.resume();
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    auto batched = tickets[i].wait();
+    ASSERT_TRUE(batched.is_ok()) << batched.status().to_string();
+    auto solo = session.run(mc(seeds[i]));
+    ASSERT_TRUE(solo.is_ok()) << solo.status().to_string();
+    const VolumeAnswer& b = batched.value().volume;
+    const VolumeAnswer& s = solo.value().volume;
+    EXPECT_EQ(b.estimate, s.estimate) << "seed " << seeds[i];
+    EXPECT_EQ(b.lower, s.lower) << "seed " << seeds[i];
+    EXPECT_EQ(b.upper, s.upper) << "seed " << seeds[i];
+    EXPECT_EQ(b.degraded, s.degraded) << "seed " << seeds[i];
+    EXPECT_EQ(b.points_evaluated, s.points_evaluated) << "seed " << seeds[i];
+    EXPECT_EQ(b.points_requested, s.points_requested) << "seed " << seeds[i];
+    EXPECT_EQ(batched.value().status, solo.value().status);
+    EXPECT_EQ(batched.value().guard.rung, solo.value().guard.rung);
+    EXPECT_EQ(s.points_evaluated, 0u);
+    EXPECT_GT(s.points_requested, 0u);
+  }
+  EXPECT_GE(session.metrics().counter_value("serve_mc_batched_total"), 1u);
+}
+
 TEST(ServeScheduler, NonVolumeKindsFlowThroughSubmit) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.add_region("Box", {"s", "t"},
