@@ -354,10 +354,6 @@ void print_table() {
   server.stop();
   unlink(options.unix_path.c_str());
   unlink(options.cache_path.c_str());
-  for (std::size_t i = 0; i < kWorkers; ++i) {
-    unlink((options.cache_path + ".volumes.shard" + std::to_string(i))
-               .c_str());
-  }
   CQA_CHECK(hot.failures == 0);
 
   SurgeResult surge = run_surge_phase();
@@ -457,7 +453,6 @@ void BM_WireRoundTripCached(benchmark::State& state) {
   server.stop();
   unlink(options.unix_path.c_str());
   unlink(options.cache_path.c_str());
-  unlink((options.cache_path + ".volumes.shard0").c_str());
 }
 BENCHMARK(BM_WireRoundTripCached);
 

@@ -92,7 +92,10 @@ int main() {
   // does not recompute.
   server.stop();
   served::Server second(options);
-  second.start().is_ok();
+  if (!second.start().is_ok()) {
+    std::printf("failed to restart fleet\n");
+    return 1;
+  }
   {
     auto connected = served::Client::connect_unix(sock);
     CQA_CHECK(connected.is_ok());
@@ -109,7 +112,5 @@ int main() {
   }
   second.stop();
   unlink(cache.c_str());
-  unlink((cache + ".volumes.shard0").c_str());
-  unlink((cache + ".volumes.shard1").c_str());
   return 0;
 }

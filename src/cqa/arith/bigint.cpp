@@ -134,12 +134,6 @@ void rsub_mag_inplace(Limbs* a, MagView b) {
   trim(a);
 }
 
-// out = a - b; requires |a| >= |b|. out must not alias a or b.
-void sub_mag_into(MagView a, MagView b, Limbs* out) {
-  out->assign(a.p, a.p + a.n);
-  sub_mag_inplace(out, b);
-}
-
 // Schoolbook out = a * b, on 64-bit super-limbs: the 32-bit views are
 // read in pairs and multiplied via unsigned __int128, quartering the
 // multiply count of a 32x32 kernel. The row carry lands exactly one

@@ -234,24 +234,6 @@ void EvalCache::store_volume(const std::string& key, Rational value) {
   volume_flights_.land(key);
 }
 
-std::vector<std::pair<std::string, Rational>> EvalCache::snapshot_volumes()
-    const {
-  std::vector<std::pair<std::string, Rational>> out;
-  for (auto& [key, entry] : volumes_.snapshot()) {
-    if (checksum_rational(entry.value) != entry.sum) continue;
-    out.emplace_back(std::move(key), std::move(entry.value));
-  }
-  return out;
-}
-
-void EvalCache::restore_volumes(
-    const std::vector<std::pair<std::string, Rational>>& entries) {
-  // store_volume recomputes the checksum, so a snapshot that rotted on
-  // disk is re-sealed here -- the served layer validates file records
-  // before they ever reach this point.
-  for (const auto& [key, value] : entries) store_volume(key, value);
-}
-
 std::size_t EvalCache::flights_in_flight() const {
   return rewrite_flights_.in_flight() + volume_flights_.in_flight();
 }

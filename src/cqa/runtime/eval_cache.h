@@ -97,18 +97,6 @@ class ShardedLru {
     }
   }
 
-  /// Copy of every entry, most-recently-used first within each shard
-  /// (the order restore-then-evict wants: re-storing in this order
-  /// keeps the hottest entries when capacities shrank).
-  std::vector<std::pair<std::string, V>> snapshot() const {
-    std::vector<std::pair<std::string, V>> out;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      for (const auto& kv : s->lru) out.push_back(kv);
-    }
-    return out;
-  }
-
   CacheStats stats() const {
     CacheStats out;
     out.hits = hits_.load(std::memory_order_relaxed);
@@ -272,16 +260,6 @@ class EvalCache {
   CacheStats volume_stats() const;
   /// Both kinds combined.
   CacheStats stats() const;
-
-  /// Persistence hooks (cqa::served warm restarts): a checksum-verified
-  /// snapshot of the exact-volume entries, and its inverse. Entries that
-  /// fail verification are dropped from the snapshot, not exported.
-  /// Rewrite entries hold parsed formulas whose canonical text is
-  /// already the cache key, so only the Rational-valued volume side
-  /// round-trips through disk.
-  std::vector<std::pair<std::string, Rational>> snapshot_volumes() const;
-  void restore_volumes(
-      const std::vector<std::pair<std::string, Rational>>& entries);
 
   /// Flights still running (for tests / introspection).
   std::size_t flights_in_flight() const;

@@ -140,10 +140,12 @@ std::vector<Result<McPartial>> ParallelSampler::estimate_partial_batch(
   // num_chunks) range contains it. Items that failed to inline/compile
   // or bind (or are empty) occupy zero global chunks and resolve
   // immediately.
-  std::vector<std::size_t> offsets(n + 1, 0);
   std::vector<CompiledMembership::Binding> bindings(n);
   std::vector<std::vector<ChunkSlot>> slots(n);
   std::vector<std::vector<Status>> errors(n);
+  // Allocated after the n-sized vectors: first, its `n + 1` trips a GCC 12
+  // -Walloc-size-larger-than false positive on the next allocation.
+  std::vector<std::size_t> offsets(n + 1, 0);
   std::size_t min_chunk_points = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ParallelSampler& s = *items[i].sampler;

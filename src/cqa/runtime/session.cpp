@@ -82,15 +82,21 @@ std::size_t mc_sample_size(const Request& r) {
   return m;
 }
 
+// A pinned Monte-Carlo request that expired before its first sample
+// (inside the membership rewrite): the last rung, reporting the same
+// points_requested = M as one that expired mid-sampling.
+VolumeAnswer mc_unstarted_volume(const Request& r) {
+  McPartial none;
+  none.requested = mc_sample_size(r);
+  return mc_volume_answer(none, r.budget.epsilon, r.budget.delta);
+}
+
 }  // namespace
 
 Session::Session(const ConstraintDatabase* db, const SessionOptions& options)
     : db_(db),
       options_(options),
-      cache_(EvalCacheOptions{options.rewrite_cache_capacity,
-                                options.volume_cache_capacity,
-                                options.cache_shards},
-             &metrics_),
+      cache_(EvalCacheOptions{}, &metrics_),
       pool_(options.threads),
       rewrite_adapter_(&cache_),
       volume_adapter_(&cache_),
@@ -122,14 +128,8 @@ Session::Session(const ConstraintDatabase* db, const SessionOptions& options)
 Session::~Session() = default;
 
 serve::Scheduler& Session::scheduler() {
-  std::call_once(scheduler_once_, [&] {
-    serve::SchedulerOptions so;
-    so.executors = options_.serve_executors;
-    so.queue_capacity = options_.serve_queue_capacity;
-    so.promote_within_ms = options_.serve_promote_within_ms;
-    so.max_mc_batch = options_.serve_max_mc_batch;
-    scheduler_ = std::make_unique<serve::Scheduler>(this, so);
-  });
+  std::call_once(scheduler_once_,
+                 [&] { scheduler_ = std::make_unique<serve::Scheduler>(this); });
   return *scheduler_;
 }
 
@@ -413,7 +413,7 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
       // Expiry or a quota trip inside the QE rewrite degrades to the
       // last rung, the same as expiry inside the sampling itself.
       if (is_degradable(membership.status())) {
-        return trivial_half_volume(true);
+        return mc_unstarted_volume(request);
       }
       return membership.status();
     }
@@ -537,7 +537,7 @@ std::vector<Result<Answer>> Session::run_mc_batch(
       if (membership.is_ok()) {
         have_membership = true;
       } else if (is_degradable(membership.status())) {
-        resolve(i, degraded_half_answer());
+        resolve(i, pinned_answer(mc_unstarted_volume(*requests[i])));
       } else {
         return fail_rest(membership.status());
       }

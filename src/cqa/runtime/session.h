@@ -74,17 +74,12 @@ class Scheduler;
 
 struct SessionOptions {
   std::size_t threads = 0;  // 0 = hardware_concurrency
-  std::size_t rewrite_cache_capacity = 512;
-  std::size_t volume_cache_capacity = 512;
-  std::size_t cache_shards = 8;
   std::size_t mc_chunk_size = ParallelSampler::kDefaultChunkSize;
-  CostModel cost_model;  // planner calibration
+  CostModel cost_model{};  // planner calibration
 
-  // Serving layer (submit()); see serve::SchedulerOptions.
-  std::size_t serve_executors = 2;
-  std::size_t serve_queue_capacity = 256;
-  std::int64_t serve_promote_within_ms = 5;
-  std::size_t serve_max_mc_batch = 8;
+  // Serving layer (submit()); see serve::Scheduler.
+  std::size_t serve_executors = 2;         // dispatcher threads
+  std::size_t serve_queue_capacity = 256;  // queued requests before shed
 };
 
 class Session {

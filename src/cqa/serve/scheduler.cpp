@@ -15,6 +15,12 @@ namespace serve {
 
 namespace {
 
+// A queued request this close to its deadline dispatches next,
+// whatever its lane.
+constexpr auto kPromoteWithin = std::chrono::milliseconds(5);
+// Forced-MC requests fused into one batch at most.
+constexpr std::size_t kMaxMcBatch = 8;
+
 std::size_t lane_of(const Request& request) {
   int p = static_cast<int>(request.priority);
   if (p < 0 || p >= kNumPriorities) p = static_cast<int>(Priority::kNormal);
@@ -23,8 +29,7 @@ std::size_t lane_of(const Request& request) {
 
 }  // namespace
 
-Scheduler::Scheduler(Session* session, const SchedulerOptions& options)
-    : session_(session), options_(options) {
+Scheduler::Scheduler(Session* session) : session_(session) {
   MetricsRegistry& m = session_->metrics();
   queue_depth_ = m.gauge("serve_queue_depth");
   submitted_ = m.counter("serve_submitted_total");
@@ -32,7 +37,8 @@ Scheduler::Scheduler(Session* session, const SchedulerOptions& options)
   batched_ = m.counter("serve_mc_batched_total");
   shed_ = m.counter("serve_shed_total");
   wait_ns_ = m.histogram("serve_wait_ns");
-  const std::size_t n = std::max<std::size_t>(1, options_.executors);
+  const std::size_t n =
+      std::max<std::size_t>(1, session_->options_.serve_executors);
   executors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     executors_.emplace_back([this] { executor_loop(); });
@@ -155,7 +161,7 @@ Ticket Scheduler::submit(Request request) {
       publish(state, Status::cancelled("scheduler shut down"));
       return ticket;
     }
-    if (queued_ >= options_.queue_capacity) {
+    if (queued_ >= session_->options_.serve_queue_capacity) {
       // Load shed. Volume requests still own a sound answer -- the last
       // rung of the degradation ladder, honest [0, 1] bars -- computed
       // right here without touching any engine. Kinds the ladder cannot
@@ -200,11 +206,10 @@ std::size_t Scheduler::queue_depth() const {
 bool Scheduler::lanes_empty() const { return queued_ == 0; }
 
 // Highest-priority lane first, FIFO within a lane -- unless some queued
-// request is within promote_within_ms of its deadline, in which case
-// the nearest-deadline one dispatches next regardless of lane.
+// request is within kPromoteWithin of its deadline, in which case the
+// nearest-deadline one dispatches next regardless of lane.
 Scheduler::Job Scheduler::pop_head() {
   const auto now = Clock::now();
-  const auto window = std::chrono::milliseconds(options_.promote_within_ms);
   std::deque<Job>* urgent_lane = nullptr;
   std::size_t urgent_idx = 0;
   Clock::time_point urgent_deadline = Clock::time_point::max();
@@ -212,7 +217,8 @@ Scheduler::Job Scheduler::pop_head() {
     for (std::size_t i = 0; i < lane.size(); ++i) {
       const Job& j = lane[i];
       if (!j.has_deadline) continue;
-      if (j.deadline_at - now <= window && j.deadline_at < urgent_deadline) {
+      if (j.deadline_at - now <= kPromoteWithin &&
+          j.deadline_at < urgent_deadline) {
         urgent_lane = &lane;
         urgent_idx = i;
         urgent_deadline = j.deadline_at;
@@ -240,7 +246,7 @@ Scheduler::Job Scheduler::pop_head() {
 // Pulls everything that can ride with `head` out of the lanes: exact
 // duplicates of any group member become followers of that member, and
 // (for a forced-Monte-Carlo head) compatible MC requests become
-// additional batch members up to max_mc_batch.
+// additional batch members up to kMaxMcBatch.
 std::vector<Scheduler::Exec> Scheduler::collect_group(Job head) {
   std::vector<Exec> group;
   std::unordered_map<std::string, std::size_t> by_fp;
@@ -261,7 +267,7 @@ std::vector<Scheduler::Exec> Scheduler::collect_group(Job head) {
           taken = true;
         }
       }
-      if (!taken && batching && group.size() < options_.max_mc_batch &&
+      if (!taken && batching && group.size() < kMaxMcBatch &&
           mc_batchable(group[0].job.request, it->request)) {
         if (!it->fingerprint.empty()) {
           by_fp.emplace(it->fingerprint, group.size());

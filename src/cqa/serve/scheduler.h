@@ -14,17 +14,18 @@
 //     key single-flight through the EvalCache FlightTable as well.
 //     Both paths count into serve_coalesced_total.
 //   - MC batching: queued volume requests that force kMonteCarlo on the
-//     same (query, output_vars) are fused into one pooled
-//     estimate_partial_batch call. Each keeps its own seed stream and
-//     cancel token, so every answer is bitwise identical to a solo run.
+//     same (query, output_vars) are fused, up to 8 at a time, into one
+//     pooled estimate_partial_batch call. Each keeps its own seed stream
+//     and cancel token, so every answer is bitwise identical to a solo
+//     run.
 //   - Admission control: the queue is bounded. Over capacity, volume
 //     requests are shed to the last degradation rung (trivial 1/2 with
 //     honest [0, 1] bars, guard.shed = true) instead of being rejected;
 //     kinds the ladder cannot serve get a typed kResourceExhausted.
-//   - Deadline awareness: a request within promote_within_ms of its
-//     deadline is dispatched next regardless of lane, so near-deadline
-//     work is not starved by a full interactive lane. Deadlines are
-//     armed at submit time -- queue wait counts against the budget.
+//   - Deadline awareness: a request within 5 ms of its deadline is
+//     dispatched next regardless of lane, so near-deadline work is not
+//     starved by a full interactive lane. Deadlines are armed at submit
+//     time -- queue wait counts against the budget.
 //
 // Metrics: serve_queue_depth (gauge + peak), serve_submitted_total,
 // serve_coalesced_total, serve_mc_batched_total, serve_shed_total,
@@ -53,13 +54,6 @@ class Session;
 
 namespace serve {
 
-struct SchedulerOptions {
-  std::size_t executors = 2;          // dispatcher threads
-  std::size_t queue_capacity = 256;   // total queued requests before shed
-  std::int64_t promote_within_ms = 5; // near-deadline promotion window
-  std::size_t max_mc_batch = 8;       // requests fused per MC batch
-};
-
 /// Platform-stable binary fingerprint over every answer-affecting field
 /// of a Request: fixed-width little-endian integers, IEEE-754 bit
 /// patterns for doubles, and u64 little-endian length prefixes on every
@@ -75,7 +69,9 @@ std::string request_fingerprint(const Request& request);
 
 class Scheduler {
  public:
-  Scheduler(Session* session, const SchedulerOptions& options = {});
+  /// Executor count and queue capacity come from the session's
+  /// SessionOptions (serve_executors, serve_queue_capacity).
+  explicit Scheduler(Session* session);
   ~Scheduler();  // stops executors, resolves every still-queued ticket
 
   Scheduler(const Scheduler&) = delete;
@@ -127,7 +123,6 @@ class Scheduler {
   static bool mc_batchable(const Request& a, const Request& b);
 
   Session* session_;
-  SchedulerOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
 #include <utility>
 
@@ -54,12 +53,10 @@ constexpr std::uint64_t kShardSalt = 0x5ca1ab1e0fULL;
 /// not the shard supervisor delivering its answer: writes block at most
 /// this long, then the connection is dropped.
 constexpr int kClientSendTimeoutSec = 5;
-constexpr std::uint64_t kVolumeSnapSalt = 0x70a57ed5a17ULL;
-constexpr char kVolumeMagic[] = "CQAVS";  // 5 bytes, then format version
-constexpr std::uint8_t kVolumeFormatVersion = 1;
-/// Clean-stop reap budget: workers get EOF, snapshot their volume cache,
-/// and exit; a worker that cannot manage that in this window is SIGKILLed
-/// so stop() never hangs the caller.
+/// Clean-stop reap budget: workers get EOF and exit, which tears their
+/// Session down and joins its scheduler executors -- each finishes the
+/// request it is running first. A worker that cannot manage that in
+/// this window is SIGKILLed so stop() never hangs the caller.
 constexpr std::int64_t kStopReapGraceMs = 5000;
 
 /// Closes every inherited descriptor except stdio and `keep`. Run in a
@@ -84,54 +81,6 @@ void close_inherited_fds(int keep) {
     }
   }
   for (int fd : fds) close(fd);
-}
-
-std::uint64_t snapshot_checksum(const std::string& key,
-                                const std::string& value) {
-  return bincode::fnv1a(value, bincode::fnv1a(key, kVolumeSnapSalt));
-}
-
-/// Worker-side warm start: the exact-volume side of the EvalCache
-/// round-trips through "<cache_path>.volumes.shard<i>" with the same
-/// checksummed-record discipline as the router's DiskCache.
-void save_volume_snapshot(EvalCache& cache, const std::string& path) {
-  const auto entries = cache.snapshot_volumes();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return;
-  std::string buf(kVolumeMagic, 5);
-  buf.push_back(static_cast<char>(kVolumeFormatVersion));
-  for (const auto& [key, value] : entries) {
-    const std::string text = value.to_string();
-    bincode::put_str(&buf, key);
-    bincode::put_str(&buf, text);
-    bincode::put_u64(&buf, snapshot_checksum(key, text));
-  }
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-void load_volume_snapshot(EvalCache& cache, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.size() < 6 || bytes.compare(0, 5, kVolumeMagic) != 0 ||
-      static_cast<std::uint8_t>(bytes[5]) != kVolumeFormatVersion) {
-    return;
-  }
-  std::vector<std::pair<std::string, Rational>> entries;
-  bincode::Reader body(bytes.data() + 6, bytes.size() - 6);
-  while (!body.exhausted()) {
-    std::string key, text;
-    std::uint64_t sum = 0;
-    if (!body.get_str(&key) || !body.get_str(&text) || !body.get_u64(&sum) ||
-        snapshot_checksum(key, text) != sum) {
-      break;  // truncated tail or bit rot: keep what validated
-    }
-    auto value = Rational::from_string(text);
-    if (!value.is_ok()) break;
-    entries.emplace_back(std::move(key), std::move(value).take());
-  }
-  cache.restore_volumes(entries);
 }
 
 }  // namespace
@@ -239,7 +188,7 @@ void Server::stop() {
   }
 
   // 3. Shut the fleet down: EOF on the socketpair makes each worker
-  // snapshot its volume cache and exit; supervisors observe stopping_.
+  // exit; supervisors observe stopping_.
   for (auto& wp : workers_) {
     std::lock_guard<std::mutex> lock(wp->mu);
     if (wp->fd >= 0) shutdown(wp->fd, SHUT_RDWR);
@@ -385,13 +334,6 @@ void Server::worker_main(int fd, std::size_t shard) {
     // must outlive the session's teardown.
     std::mutex write_mu;  // read loop + executor then-callbacks share fd
     Session session(&db, options_.session);
-    const std::string snapshot_path =
-        options_.cache_path.empty()
-            ? std::string()
-            : options_.cache_path + ".volumes.shard" + std::to_string(shard);
-    if (!snapshot_path.empty()) {
-      load_volume_snapshot(session.cache(), snapshot_path);
-    }
     // Armed watchdog: publish liveness into this shard's shared slot. A
     // dedicated thread keeps the heartbeat honest even while the main
     // thread blocks in read_frame; progress bumps ride the work itself.
@@ -480,9 +422,6 @@ void Server::worker_main(int fd, std::size_t shard) {
     }
     hb_stop.store(true, std::memory_order_relaxed);
     if (heartbeat.joinable()) heartbeat.join();
-    if (!snapshot_path.empty()) {
-      save_volume_snapshot(session.cache(), snapshot_path);
-    }
     // Session teardown resolves every outstanding ticket; the callbacks
     // write into a dead pipe and fail silently, which is fine -- the
     // router has already given up on this worker.

@@ -41,9 +41,8 @@
 //   - Persistence: full-fidelity answers land in a disk-backed result
 //     cache keyed by the fingerprint (checksummed records, versioned
 //     header, corrupt-tail tolerance), so a restarted server serves its
-//     hot set without recomputing; workers additionally snapshot their
-//     exact-volume EvalCache entries on clean shutdown and restore them
-//     on (re)spawn.
+//     hot set without recomputing. It is the only on-disk state: a
+//     worker's EvalCache lives and dies with its process.
 //
 // The Server object is also usable in-process (tests, benches spawn it
 // directly); tools/cqa_served wraps it in a binary.
@@ -81,8 +80,8 @@ struct ServedOptions {
   std::uint16_t tcp_port = 0;  // 0 = ephemeral; see Server::port()
   /// Per-shard in-flight cap before the router sheds at admission.
   std::size_t shard_capacity = 256;
-  /// Non-empty: persistent result cache file; workers also snapshot
-  /// exact-volume cache entries to "<cache_path>.volumes.shard<i>".
+  /// Non-empty: persistent result cache file (the router's DiskCache,
+  /// the only file a stopped fleet leaves behind).
   std::string cache_path;
   std::size_t cache_capacity = 4096;
   /// > 0 arms the hung-worker watchdog: a shard whose heartbeat

@@ -112,7 +112,9 @@ TEST(BigInt, DivisionIdentityRandomized) {
     auto [q, r] = a.divmod(b);
     EXPECT_EQ(q * b + r, a);
     EXPECT_LT(r.abs(), b.abs());
-    if (!r.is_zero()) EXPECT_EQ(r.sign(), a.sign());
+    if (!r.is_zero()) {
+      EXPECT_EQ(r.sign(), a.sign());
+    }
   }
 }
 

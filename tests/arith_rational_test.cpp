@@ -91,7 +91,9 @@ TEST(Rational, FieldAxiomsRandomized) {
     EXPECT_EQ((a + b) + c, a + (b + c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ(a - a, Rational());
-    if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Rational(1));
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.inverse(), Rational(1));
+    }
   }
 }
 

@@ -104,8 +104,12 @@ TEST_P(ArithProperty, RationalOrderCompatibility) {
     Rational a = rand_q(), b = rand_q(), c = rand_q();
     if (a < b) {
       EXPECT_LT(a + c, b + c);
-      if (c.sign() > 0) EXPECT_LT(a * c, b * c);
-      if (c.sign() < 0) EXPECT_GT(a * c, b * c);
+      if (c.sign() > 0) {
+        EXPECT_LT(a * c, b * c);
+      }
+      if (c.sign() < 0) {
+        EXPECT_GT(a * c, b * c);
+      }
     }
     // Double conversion preserves order for well-separated values.
     if ((a - b).abs() > Rational(1, 1000)) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "cqa/guard/fault.h"
 #include "cqa/runtime/session.h"
 #include "cqa/serve/scheduler.h"
+#include "cqa/vc/sample_bounds.h"
 
 namespace cqa {
 namespace {
@@ -491,6 +494,129 @@ TEST(ServeScheduler, BatchedMemberWithEveryChunkDroppedMatchesRun) {
     EXPECT_GT(s.points_requested, 0u);
   }
   EXPECT_GE(session.metrics().counter_value("serve_mc_batched_total"), 1u);
+}
+
+TEST(ServeScheduler, PreCancelledTokenReportsFullSampleSizeInRunAndBatch) {
+  // A caller token that is cancelled before the request starts trips
+  // inside the membership rewrite, before any sampling. The answer is
+  // the trivial-1/2 rung with points_requested = M, the same count a
+  // request that expires during sampling reports, through run() and
+  // through a fused batch alike.
+  const std::size_t m = blumer_sample_bound(0.05, Budget{}.delta, 3.0);
+  auto mc = [](std::uint64_t seed, CancelToken* token) {
+    return Request::volume(kDisk)
+        .vars({"x", "y"})
+        .strategy(VolumeStrategy::kMonteCarlo)
+        .epsilon(0.05)
+        .vc_dim(3.0)
+        .seed(seed)
+        .cancel(token)
+        .build();
+  };
+  CancelToken cancelled;
+  cancelled.cancel();
+  auto expect_trivial_half = [&](const Result<Answer>& r) {
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().guard.rung, guard::Rung::kTrivialHalf);
+    EXPECT_EQ(r.value().volume.points_evaluated, 0u);
+    EXPECT_EQ(r.value().volume.points_requested, m);
+  };
+
+  {
+    // Fresh session: the rewrite is not cached, so the token trips in it.
+    ConstraintDatabase db;
+    Session session(&db, serve_opts());
+    expect_trivial_half(session.run(mc(7, &cancelled)));
+  }
+
+  ConstraintDatabase db;
+  Session session(&db, serve_opts());
+  serve::Scheduler& sched = session.scheduler();
+  sched.pause();
+  // The cancelled member heads the batch, so it runs the shared rewrite
+  // first; the healthy member then computes it and samples in full.
+  serve::Ticket doomed = session.submit(mc(7, &cancelled));
+  serve::Ticket healthy = session.submit(mc(11, nullptr));
+  sched.resume();
+  expect_trivial_half(doomed.wait());
+  auto rh = healthy.wait();
+  ASSERT_TRUE(rh.is_ok()) << rh.status().to_string();
+  EXPECT_EQ(rh.value().status, AnswerStatus::kOk);
+  EXPECT_EQ(rh.value().volume.points_requested, m);
+  EXPECT_EQ(session.metrics().counter_value("serve_mc_batched_total"), 1u);
+}
+
+TEST(ServeScheduler, NearDeadlineBatchRequestDispatchesBeforeInteractive) {
+  // One executor, everything queued while paused: a batch-lane request
+  // due within the promotion window (5 ms) runs before the interactive
+  // requests queued ahead of it, which then keep their FIFO order.
+  ConstraintDatabase db;
+  SessionOptions opts = serve_opts();
+  opts.serve_executors = 1;
+  Session session(&db, opts);
+  serve::Scheduler& sched = session.scheduler();
+  sched.pause();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  std::vector<serve::Ticket> tickets;
+  auto submit = [&](int id, Request request) {
+    tickets.push_back(session.submit(std::move(request)));
+    tickets.back().then([&, id](const Result<Answer>&) {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(id);
+      cv.notify_all();
+    });
+  };
+  for (int i = 0; i < 3; ++i) {
+    submit(i, Request::volume("x >= 0 & x <= 1 & y >= 0 & y <= " +
+                              std::to_string(i + 1))
+                  .vars({"x", "y"})
+                  .priority(Priority::kInteractive));
+  }
+  submit(3, Request::volume(kTriangle)
+                .vars({"x", "y"})
+                .priority(Priority::kBatch)
+                .deadline_ms(1));
+  sched.resume();
+  for (auto& t : tickets) ASSERT_TRUE(t.wait().is_ok());
+  // A callback runs just after its ticket turns ready; wait for all four.
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return order.size() == tickets.size(); }));
+  EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2}));
+}
+
+TEST(ServeScheduler, McBatchesAreCappedAtEightMembers) {
+  // Fusable forced-MC requests with distinct seeds, queued while paused
+  // and drained by one executor: each group of k fused requests counts
+  // k - 1 into serve_mc_batched_total.
+  ConstraintDatabase db;
+  SessionOptions opts = serve_opts();
+  opts.serve_executors = 1;
+  Session session(&db, opts);
+  serve::Scheduler& sched = session.scheduler();
+  std::uint64_t seed = 0;
+  auto batched = [&](int n) {
+    const std::uint64_t before =
+        session.metrics().counter_value("serve_mc_batched_total");
+    sched.pause();
+    std::vector<serve::Ticket> tickets;
+    for (int i = 0; i < n; ++i) {
+      tickets.push_back(session.submit(Request::volume(kDisk)
+                                           .vars({"x", "y"})
+                                           .strategy(VolumeStrategy::kMonteCarlo)
+                                           .epsilon(0.1)
+                                           .vc_dim(3.0)
+                                           .seed(++seed)));
+    }
+    sched.resume();
+    for (auto& t : tickets) EXPECT_TRUE(t.wait().is_ok());
+    return session.metrics().counter_value("serve_mc_batched_total") - before;
+  };
+  EXPECT_EQ(batched(20), 17u);  // 8 + 8 + 4
+  EXPECT_EQ(batched(8), 7u);    // one full batch; a cap of 7 would give 6
+  EXPECT_EQ(batched(9), 7u);    // 8 + 1; a cap of 9 would give 8
 }
 
 TEST(ServeScheduler, NonVolumeKindsFlowThroughSubmit) {

@@ -12,6 +12,7 @@
 // Monte-Carlo payloads used to pin a request in flight are deliberately
 // expensive.
 
+#include <dirent.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -44,13 +45,7 @@ served::ServedOptions fleet_options(const char* stem, std::size_t workers) {
 
 void cleanup(const served::ServedOptions& options) {
   unlink(options.unix_path.c_str());
-  if (!options.cache_path.empty()) {
-    unlink(options.cache_path.c_str());
-    for (std::size_t i = 0; i < options.workers; ++i) {
-      unlink((options.cache_path + ".volumes.shard" + std::to_string(i))
-                 .c_str());
-    }
-  }
+  if (!options.cache_path.empty()) unlink(options.cache_path.c_str());
 }
 
 served::Client must_connect(const std::string& sock) {
@@ -258,7 +253,13 @@ TEST(ServedFleet, DiskCacheSurvivesFullRestart) {
                    .vc_dim(3.0)
                    .seed(7)
                    .build();
+  // Planner-routed to the exact sweep: the value is a closed-form
+  // rational, so the router cache alone replays it after a restart.
+  Request exact = Request::volume("0 <= y & y <= x & x <= 1 & x + 2*y <= 3/2")
+                      .vars({"x", "y"})
+                      .build();
   double first_estimate = 0.0;
+  Rational first_exact;
   {
     served::Server server(options);
     ASSERT_TRUE(server.start().is_ok());
@@ -271,10 +272,29 @@ TEST(ServedFleet, DiskCacheSurvivesFullRestart) {
     ASSERT_TRUE(b.is_ok());
     EXPECT_EQ(b.value().volume.value(), first_estimate);
     EXPECT_GE(server.stats().cache_hits, 1u);
+    auto e = client.call(exact);
+    ASSERT_TRUE(e.is_ok());
+    ASSERT_TRUE(e.value().volume.exact.has_value());
+    first_exact = *e.value().volume.exact;
     server.stop();
   }
+  // A clean stop leaves the router's cache file and nothing else: no
+  // per-worker state is persisted.
   {
-    // Brand-new fleet, same cache file: the answer comes from disk
+    const std::string dir = "/tmp/";
+    const std::string prefix = options.cache_path.substr(dir.size());
+    std::vector<std::string> left;
+    if (DIR* d = opendir(dir.c_str())) {
+      while (dirent* entry = readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name.rfind(prefix, 0) == 0) left.push_back(name);
+      }
+      closedir(d);
+    }
+    EXPECT_EQ(left, std::vector<std::string>{prefix});
+  }
+  {
+    // Brand-new fleet, same cache file: both answers come from disk
     // without recomputation, byte-identical.
     served::Server server(options);
     ASSERT_TRUE(server.start().is_ok());
@@ -282,8 +302,13 @@ TEST(ServedFleet, DiskCacheSurvivesFullRestart) {
     auto a = client.call(mc);
     ASSERT_TRUE(a.is_ok());
     EXPECT_EQ(a.value().volume.value(), first_estimate);
-    EXPECT_GE(server.stats().cache_hits, 1u);
-    EXPECT_GE(server.cache_stats().entries, 1u);
+    auto e = client.call(exact);
+    ASSERT_TRUE(e.is_ok());
+    ASSERT_TRUE(e.value().volume.exact.has_value());
+    EXPECT_EQ(*e.value().volume.exact, first_exact);
+    // Both from the router cache: a hit never reaches a worker.
+    EXPECT_EQ(server.stats().cache_hits, 2u);
+    EXPECT_GE(server.cache_stats().entries, 2u);
     server.stop();
   }
   cleanup(options);

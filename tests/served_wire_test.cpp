@@ -1,8 +1,7 @@
 // cqa::served wire + persistence units: frame codec (versioning,
 // corruption), Request/Answer payload round trips, the platform-stable
 // request fingerprint (golden bytes), the disk-backed result cache's
-// corruption tolerance, the per-scrape-window queue-depth peak, and the
-// EvalCache volume snapshot hooks.
+// corruption tolerance, and the per-scrape-window queue-depth peak.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "cqa/logic/printer.h"
-#include "cqa/runtime/eval_cache.h"
 #include "cqa/runtime/metrics.h"
 #include "cqa/serve/scheduler.h"
 #include "cqa/served/disk_cache.h"
@@ -515,23 +513,6 @@ TEST(GaugePeak, TakePeakReadsAndResetsPerScrapeWindow) {
   EXPECT_EQ(g->take_peak(), 2);
   g->set(5);
   EXPECT_EQ(g->take_peak(), 5);
-}
-
-// ------------------------------------------------------ volume snapshots
-
-TEST(EvalCachePersistence, SnapshotAndRestoreRoundTripsVolumes) {
-  EvalCache cache;
-  cache.store_volume("q1", Rational(1, 3));
-  cache.store_volume("q2", Rational(7, 2));
-  const auto snapshot = cache.snapshot_volumes();
-  EXPECT_EQ(snapshot.size(), 2u);
-
-  EvalCache warm;
-  warm.restore_volumes(snapshot);
-  ASSERT_TRUE(warm.lookup_volume("q1").has_value());
-  EXPECT_EQ(*warm.lookup_volume("q1"), Rational(1, 3));
-  ASSERT_TRUE(warm.lookup_volume("q2").has_value());
-  EXPECT_EQ(*warm.lookup_volume("q2"), Rational(7, 2));
 }
 
 }  // namespace

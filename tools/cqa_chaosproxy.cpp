@@ -1,8 +1,7 @@
 // cqa_chaosproxy: a seeded wire-chaos man-in-the-middle for cqa_served.
 //
 //   cqa_served --tcp 7411 &
-//   cqa_chaosproxy --listen 7412 --upstream-port 7411 \
-//       --seed 7 --rate 0.2 &
+//   cqa_chaosproxy --listen 7412 --upstream-port 7411 --seed 7 --rate 0.2 &
 //   cqa_servedctl --tcp 7412 ping     # through the gauntlet
 //
 // Forwards every connection to the upstream server while injecting
