@@ -157,7 +157,7 @@ void print_table() {
   const int reps = 50;
   t0 = now_seconds();
   for (int i = 0; i < reps; ++i) {
-    cold.rewrite(kQeQuery).value_or_die();
+    cold.rewrite(kQeQuery, {}).value_or_die();
   }
   const double cold_sec = (now_seconds() - t0) / reps;
 
@@ -221,7 +221,7 @@ void BM_RewriteCold(benchmark::State& state) {
   add_zone(&db);
   QueryEngine engine(&db);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.rewrite(kQeQuery).value_or_die());
+    benchmark::DoNotOptimize(engine.rewrite(kQeQuery, {}).value_or_die());
   }
 }
 BENCHMARK(BM_RewriteCold);

@@ -79,7 +79,7 @@ void print_table() {
                 .is_ok());
   AggregationEngine agg(&db);
   std::printf("\nexact AVG via FO+POLY+SUM on U = {1,2,3,10}: %s\n",
-              agg.aggregate(AggregateFn::kAvg, "U(v)", "v")
+              agg.aggregate(AggregateFn::kAvg, db.parse("U(v)").value(), "v")
                   .value_or_die()
                   .to_string()
                   .c_str());

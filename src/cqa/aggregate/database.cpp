@@ -155,17 +155,28 @@ bool Database::contains(const std::string& name, const RVec& tuple) const {
   return h.is_ok() && h.value();
 }
 
+namespace {
+
+// The schema predicates f mentions, each once.
+void predicate_names(const FormulaPtr& f, std::set<std::string>* out) {
+  if (f->kind() == Formula::Kind::kPredicate) out->insert(f->pred_name());
+  for (const auto& c : f->children()) predicate_names(c, out);
+}
+
+}  // namespace
+
 Result<FormulaPtr> Database::inline_predicates(const FormulaPtr& f) const {
+  std::set<std::string> names;
+  predicate_names(f, &names);
+  // Definitions are predicate-free, so one pass per named relation
+  // leaves none behind.
   FormulaPtr cur = f;
-  // Iterate until no predicate remains (definitions are predicate-free, so
-  // one pass per relation suffices).
-  for (const auto& [name, rel] : relations_) {
+  for (const std::string& name : names) {
     auto def = definition_of(name);
-    if (!def.is_ok()) return def.status();
-    cur = substitute_predicate(cur, name, rel.arity, def.value());
-  }
-  if (cur->has_predicates()) {
-    return Status::invalid("formula references an unknown relation");
+    if (!def.is_ok()) {
+      return Status::invalid("formula references an unknown relation");
+    }
+    cur = substitute_predicate(cur, name, arity_of(name).value(), def.value());
   }
   return cur;
 }
@@ -266,31 +277,30 @@ Result<bool> decide_closed(const FormulaPtr& g) {
 
 }  // namespace
 
-Result<bool> Database::holds(
-    const FormulaPtr& f,
-    const std::map<std::size_t, Rational>& assignment) const {
-  // Fast path: linear formulas compile once (inline + symbolic QE) and
-  // evaluate per assignment.
-  auto it = compiled_.find(f.get());
-  if (it == compiled_.end()) {
-    FormulaPtr qf;  // nullptr = not compilable
-    auto ad = expand_active_domain(f);
-    if (ad.is_ok()) {
-      auto inlined = inline_predicates(ad.value());
-      if (inlined.is_ok() && inlined.value()->is_linear()) {
-        auto r = qe_linear(inlined.value());
-        if (r.is_ok()) qf = r.value();
-      }
-    }
-    it = compiled_.emplace(f.get(), std::move(qf)).first;
-    // Hold a reference to the key formula so the pointer stays valid.
-    compiled_keys_.push_back(f);
+Result<FormulaPtr> Database::expand_and_inline(const FormulaPtr& f) const {
+  auto expanded = expand_active_domain(f);
+  if (!expanded.is_ok()) return expanded;
+  return inline_predicates(expanded.value());
+}
+
+Database::Compiled Database::compile(const FormulaPtr& f) const {
+  Compiled c;
+  c.source = f;
+  auto inlined = expand_and_inline(f);
+  if (inlined.is_ok() && inlined.value()->is_linear()) {
+    auto r = qe_linear(inlined.value());
+    if (r.is_ok()) c.qf = r.value();
   }
-  if (it->second != nullptr) {
-    const FormulaPtr& qf = it->second;
-    const int mv = qf->max_var();
+  return c;
+}
+
+Result<bool> Database::holds(
+    const Compiled& f,
+    const std::map<std::size_t, Rational>& assignment) const {
+  if (f.qf != nullptr) {
+    const int mv = f.qf->max_var();
     RVec point(static_cast<std::size_t>(mv + 1));
-    for (std::size_t v : qf->free_vars()) {
+    for (std::size_t v : f.qf->free_vars()) {
       auto a = assignment.find(v);
       if (a == assignment.end()) {
         return Status::invalid("holds: unassigned free variable x" +
@@ -298,7 +308,7 @@ Result<bool> Database::holds(
       }
       point[v] = a->second;
     }
-    return eval_qf(qf, point);
+    return eval_qf(f.qf, point);
   }
 
   // General path: substitute the assignment first -- this often
@@ -309,23 +319,13 @@ Result<bool> Database::holds(
   for (const auto& [v, val] : assignment) {
     sub.emplace(v, Polynomial::constant(val));
   }
-  FormulaPtr g = substitute_vars(f, sub);
-  auto ad = expand_active_domain(g);
-  if (!ad.is_ok()) return ad.status();
-  auto inlined = inline_predicates(ad.value());
+  auto inlined = expand_and_inline(substitute_vars(f.source, sub));
   if (!inlined.is_ok()) return inlined.status();
-  g = inlined.value();
+  const FormulaPtr& g = inlined.value();
   if (!g->free_vars().empty()) {
     return Status::invalid("holds: unassigned free variable");
   }
   return decide_closed(g);
-}
-
-std::vector<std::string> Database::relation_names() const {
-  std::vector<std::string> out;
-  out.reserve(relations_.size());
-  for (const auto& [name, rel] : relations_) out.push_back(name);
-  return out;
 }
 
 }  // namespace cqa

@@ -3,6 +3,10 @@
 // A Database interprets schema predicates either as finite sets of rational
 // tuples or as finitely-representable (f.r.) sets given by constraint
 // formulas -- exactly the two instance classes of the paper (Section 2).
+//
+// Contract: a Database is immutable once loaded. Register every relation
+// before the first query; every query member is const and keeps no
+// state, so any number of threads may read one Database concurrently.
 
 #ifndef CQA_AGGREGATE_DATABASE_H_
 #define CQA_AGGREGATE_DATABASE_H_
@@ -56,22 +60,36 @@ class Database : public PredicateOracle {
 
   /// Lemma 1's move: replaces every schema predicate in f by its
   /// definition (finite relations inline as disjunctions of equalities).
+  /// Only the relations f names are substituted; a predicate-free f
+  /// comes back as the same node.
   Result<FormulaPtr> inline_predicates(const FormulaPtr& f) const;
 
+  /// Lemma 1 in full: expand_active_domain, then inline_predicates.
+  Result<FormulaPtr> expand_and_inline(const FormulaPtr& f) const;
+
+  /// A formula compiled for evaluation at many assignments: a linear one
+  /// is expanded, inlined and quantifier-eliminated once, so each holds()
+  /// is one quantifier-free evaluation.
+  struct Compiled {
+    FormulaPtr source;  // as given
+    FormulaPtr qf;      // expanded, inlined, QE'd; null when not linear
+  };
+  Compiled compile(const FormulaPtr& f) const;
+
   /// Decides a formula (possibly with quantifiers and predicates) under an
-  /// assignment of all its free variables: substitute, inline, then run
-  /// linear QE when the result is linear or the polynomial sample-point
-  /// procedure otherwise. Active-domain quantifiers range over
-  /// active_domain().
-  Result<bool> holds(const FormulaPtr& f,
+  /// assignment of all its free variables: evaluate the compiled form, or
+  /// substitute, inline and run the polynomial sample-point procedure.
+  /// Active-domain quantifiers range over active_domain().
+  Result<bool> holds(const Compiled& f,
                      const std::map<std::size_t, Rational>& assignment) const;
+  Result<bool> holds(const FormulaPtr& f,
+                     const std::map<std::size_t, Rational>& assignment) const {
+    return holds(compile(f), assignment);
+  }
 
   /// Expands active-domain quantifiers into finite conjunctions /
   /// disjunctions over active_domain().
   Result<FormulaPtr> expand_active_domain(const FormulaPtr& f) const;
-
-  /// Names of all relations.
-  std::vector<std::string> relation_names() const;
 
  private:
   struct Relation {
@@ -85,12 +103,6 @@ class Database : public PredicateOracle {
   Result<const Relation*> find(const std::string& name) const;
 
   std::map<std::string, Relation> relations_;
-  // Compiled-query cache: linear formulas are inlined + quantifier-
-  // eliminated once and re-evaluated cheaply per assignment. nullptr
-  // marks formulas that cannot be compiled (nonlinear). Keyed by node
-  // identity; single-threaded use assumed (as is the whole library).
-  mutable std::map<const Formula*, FormulaPtr> compiled_;
-  mutable std::vector<FormulaPtr> compiled_keys_;
 };
 
 }  // namespace cqa

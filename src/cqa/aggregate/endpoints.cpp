@@ -120,14 +120,9 @@ Result<std::vector<Interval1D>> decompose_1d(
   // Route through Database::holds-style preprocessing: substitute + inline.
   std::map<std::size_t, Polynomial> sub;
   for (const auto& [v, val] : full) sub.emplace(v, Polynomial::constant(val));
-  FormulaPtr g = substitute_vars(phi, sub);
-  {
-    auto ad = db.expand_active_domain(g);
-    if (!ad.is_ok()) return ad.status();
-    auto inlined = db.inline_predicates(ad.value());
-    if (!inlined.is_ok()) return inlined.status();
-    g = inlined.value();
-  }
+  auto inlined = db.expand_and_inline(substitute_vars(phi, sub));
+  if (!inlined.is_ok()) return inlined.status();
+  FormulaPtr g = inlined.value();
   for (std::size_t v : g->free_vars()) {
     if (v != var) {
       return Status::invalid("decompose_1d: unassigned free variable x" +

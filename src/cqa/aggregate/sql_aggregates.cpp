@@ -86,12 +86,14 @@ Result<std::vector<Rational>> bag_column(const Database& db,
   if (column >= arity.value()) {
     return Status::invalid("bag aggregate column out of range");
   }
+  const Database::Compiled keep_if =
+      filter != nullptr ? db.compile(filter) : Database::Compiled{};
   std::vector<Rational> out;
   for (const RVec& t : tuples.value()) {
     if (filter != nullptr) {
       std::map<std::size_t, Rational> assignment;
       for (std::size_t i = 0; i < t.size(); ++i) assignment[i] = t[i];
-      auto keep = db.holds(filter, assignment);
+      auto keep = db.holds(keep_if, assignment);
       if (!keep.is_ok()) return keep.status();
       if (!keep.value()) continue;
     }

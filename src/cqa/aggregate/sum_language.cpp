@@ -30,6 +30,8 @@ namespace {
 struct EnumState {
   const RangeRestrictedExpr* expr;
   const Database* db;
+  Database::Compiled guard;                 // expr->guard, compiled once
+  std::vector<Database::Compiled> filters;  // expr->pushdown, in order
   const std::vector<Rational>* domain;
   std::map<std::size_t, Rational> assignment;
   RVec tuple;
@@ -44,12 +46,13 @@ Status enumerate_rec(EnumState* st, std::size_t depth) {
   // assigned (all its variables are then bound).
   if (depth > 0) {
     const std::size_t just = st->expr->w_vars[depth - 1];
-    for (const auto& [vars, filter] : st->expr->pushdown) {
+    for (std::size_t i = 0; i < st->filters.size(); ++i) {
+      const auto& vars = st->expr->pushdown[i].first;
       if (vars.empty() || vars.back() != just) continue;
       if (++st->guard_evals > EnumState::kMaxGuardEvals) {
         return Status::out_of_range("range-restricted enumeration too large");
       }
-      auto ok = st->db->holds(filter, st->assignment);
+      auto ok = st->db->holds(st->filters[i], st->assignment);
       if (!ok.is_ok()) return ok.status();
       if (!ok.value()) return Status::ok();  // prune this branch
     }
@@ -58,7 +61,7 @@ Status enumerate_rec(EnumState* st, std::size_t depth) {
     if (++st->guard_evals > EnumState::kMaxGuardEvals) {
       return Status::out_of_range("range-restricted enumeration too large");
     }
-    auto ok = st->db->holds(st->expr->guard, st->assignment);
+    auto ok = st->db->holds(st->guard, st->assignment);
     if (!ok.is_ok()) return ok.status();
     if (ok.value()) st->out.push_back(st->tuple);
     return Status::ok();
@@ -96,6 +99,10 @@ Result<std::vector<RVec>> RangeRestrictedExpr::enumerate(
   st.assignment = params;
   st.tuple.assign(w_vars.size(), Rational());
   if (st.domain->empty() && !w_vars.empty()) return std::vector<RVec>{};
+  st.guard = db.compile(guard);
+  for (const auto& [vars, filter] : pushdown) {
+    st.filters.push_back(db.compile(filter));
+  }
   CQA_RETURN_IF_ERROR(enumerate_rec(&st, 0));
   return std::move(st.out);
 }

@@ -14,25 +14,22 @@ Result<std::map<std::size_t, Rational>> AggregationEngine::bind(
 }
 
 Result<Rational> AggregationEngine::aggregate(
-    AggregateFn fn, const std::string& query, const std::string& output_var,
+    AggregateFn fn, const FormulaPtr& query, const std::string& output_var,
     const std::vector<std::pair<std::string, Rational>>& bindings) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
-  if (!parsed.is_ok()) return parsed.status();
-  const std::size_t var = const_cast<ConstraintDatabase*>(db_)->var(
-      output_var);
+  const std::size_t var = db_->var(output_var);
   auto params = bind(bindings);
   if (!params.is_ok()) return params.status();
   switch (fn) {
     case AggregateFn::kCount:
-      return agg_count(db_->db(), parsed.value(), var, params.value());
+      return agg_count(db_->db(), query, var, params.value());
     case AggregateFn::kSum:
-      return agg_sum(db_->db(), parsed.value(), var, params.value());
+      return agg_sum(db_->db(), query, var, params.value());
     case AggregateFn::kAvg:
-      return agg_avg(db_->db(), parsed.value(), var, params.value());
+      return agg_avg(db_->db(), query, var, params.value());
     case AggregateFn::kMin:
-      return agg_min(db_->db(), parsed.value(), var, params.value());
+      return agg_min(db_->db(), query, var, params.value());
     case AggregateFn::kMax:
-      return agg_max(db_->db(), parsed.value(), var, params.value());
+      return agg_max(db_->db(), query, var, params.value());
   }
   return Status::internal("unreachable");
 }
@@ -42,12 +39,10 @@ AggregationEngine::group_by(
     AggregateFn fn, const std::string& query, const std::string& group_var,
     const std::string& output_var,
     const std::vector<std::pair<std::string, Rational>>& bindings) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
+  auto parsed = db_->parse(query);
   if (!parsed.is_ok()) return parsed.status();
-  const std::size_t gvar =
-      const_cast<ConstraintDatabase*>(db_)->var(group_var);
-  const std::size_t ovar =
-      const_cast<ConstraintDatabase*>(db_)->var(output_var);
+  const std::size_t gvar = db_->var(group_var);
+  const std::size_t ovar = db_->var(output_var);
   auto params = bind(bindings);
   if (!params.is_ok()) return params.status();
   // Groups: the values of group_var in Exists output_var . query.
@@ -127,15 +122,12 @@ Result<Rational> AggregationEngine::bag_aggregate(
 }
 
 Result<std::vector<Rational>> AggregationEngine::output(
-    const std::string& query, const std::string& output_var,
+    const FormulaPtr& query, const std::string& output_var,
     const std::vector<std::pair<std::string, Rational>>& bindings) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
-  if (!parsed.is_ok()) return parsed.status();
-  const std::size_t var =
-      const_cast<ConstraintDatabase*>(db_)->var(output_var);
+  const std::size_t var = db_->var(output_var);
   auto params = bind(bindings);
   if (!params.is_ok()) return params.status();
-  return saf_output(db_->db(), parsed.value(), var, params.value());
+  return saf_output(db_->db(), query, var, params.value());
 }
 
 }  // namespace cqa

@@ -25,14 +25,14 @@ class AggregationEngine {
   /// Applies the aggregate to { value of `output_var` : query holds }.
   /// The query's output set must be finite (safe); every other free
   /// variable must be bound in `bindings`.
-  Result<Rational> aggregate(AggregateFn fn, const std::string& query,
+  Result<Rational> aggregate(AggregateFn fn, const FormulaPtr& query,
                              const std::string& output_var,
                              const std::vector<std::pair<std::string,
                                                          Rational>>&
                                  bindings = {});
 
   /// The finite output itself (sorted).
-  Result<std::vector<Rational>> output(const std::string& query,
+  Result<std::vector<Rational>> output(const FormulaPtr& query,
                                        const std::string& output_var,
                                        const std::vector<std::pair<
                                            std::string, Rational>>&

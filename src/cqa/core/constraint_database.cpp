@@ -60,7 +60,7 @@ Status ConstraintDatabase::add_region(const std::string& name,
   return db_.add_constraint_relation(name, args.size(), f.value());
 }
 
-Result<FormulaPtr> ConstraintDatabase::parse(const std::string& text) {
+Result<FormulaPtr> ConstraintDatabase::parse(const std::string& text) const {
   return parse_formula(text, &vars_);
 }
 

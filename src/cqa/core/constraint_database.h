@@ -17,6 +17,8 @@
 namespace cqa {
 
 /// A constraint database with a shared named-variable space.
+/// Like Database, it is immutable once loaded: load every table and
+/// region first, then query from any number of threads.
 ///
 /// Region definitions use the parser's formula syntax with argument
 /// variables named by the caller, e.g.
@@ -43,10 +45,13 @@ class ConstraintDatabase {
                     const std::vector<std::string>& args,
                     const std::string& formula);
 
-  /// Parses a query in this database's variable space.
-  Result<FormulaPtr> parse(const std::string& text);
+  /// Parses a query in this database's variable space (new names are
+  /// interned in the internally synchronized variable table).
+  Result<FormulaPtr> parse(const std::string& text) const;
   /// Index of a named variable (allocating if new).
-  std::size_t var(const std::string& name) { return vars_.index_of(name); }
+  std::size_t var(const std::string& name) const {
+    return vars_.index_of(name);
+  }
   /// The variable table (shared across all parses).
   VarTable& vars() { return vars_; }
   const VarTable& vars() const { return vars_; }
@@ -66,7 +71,7 @@ class ConstraintDatabase {
 
  private:
   Database db_;
-  VarTable vars_;
+  mutable VarTable vars_;  // internally synchronized
 };
 
 }  // namespace cqa

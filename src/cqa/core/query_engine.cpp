@@ -28,8 +28,28 @@ Result<std::vector<std::size_t>> resolve_element_vars(
   return element_vars;
 }
 
+const std::string& ParsedQuery::printed() const {
+  if (!printed_) printed_ = to_string(formula_);
+  return *printed_;
+}
+
+Result<ParsedQuery> QueryEngine::parse(const std::string& query) const {
+  auto parsed = db_->parse(query);
+  if (!parsed.is_ok()) return parsed.status();
+  return ParsedQuery(parsed.value());
+}
+
+Result<FormulaPtr> QueryEngine::inlined(const ParsedQuery& query) const {
+  if (query.inlined_ == nullptr) {
+    auto g = db_->db().expand_and_inline(query.formula_);
+    if (!g.is_ok()) return g;
+    query.inlined_ = g.value();
+  }
+  return query.inlined_;
+}
+
 Result<std::vector<LinearCell>> QueryEngine::cells(
-    const std::string& query, const std::vector<std::string>& output_vars,
+    const ParsedQuery& query, const std::vector<std::string>& output_vars,
     const RewriteOptions& options) {
   auto rewritten = rewrite(query, options);
   if (!rewritten.is_ok()) return rewritten.status();
@@ -48,30 +68,18 @@ Result<std::vector<LinearCell>> QueryEngine::cells(
   return formula_to_cells(remapped, output_vars.size());
 }
 
-Result<std::string> QueryEngine::canonical_key(const std::string& query) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
-  if (!parsed.is_ok()) return parsed.status();
-  return to_string(parsed.value());
-}
-
-Result<FormulaPtr> QueryEngine::rewrite(const std::string& query,
+Result<FormulaPtr> QueryEngine::rewrite(const ParsedQuery& query,
                                         const RewriteOptions& options) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
-  if (!parsed.is_ok()) return parsed;
-  const bool use_cache = cache_ != nullptr && !options.skip_cache;
-  std::string key;
-  if (use_cache) {
-    key = "qe|" + to_string(parsed.value());
+  const std::string key = cache_ != nullptr ? "qe|" + query.printed() : "";
+  if (cache_ != nullptr) {
     if (auto hit = cache_->lookup(key)) return *hit;
   }
   if (options.cancel != nullptr) {
     CQA_RETURN_IF_ERROR(options.cancel->check());
   }
-  auto expanded = db_->db().expand_active_domain(parsed.value());
-  if (!expanded.is_ok()) return expanded;
-  auto inlined = db_->db().inline_predicates(expanded.value());
-  if (!inlined.is_ok()) return inlined;
-  FormulaPtr g = inlined.value();
+  auto inlined_query = inlined(query);
+  if (!inlined_query.is_ok()) return inlined_query;
+  FormulaPtr g = inlined_query.value();
   if (!g->is_quantifier_free()) {
     if (!g->is_linear()) {
       return Status::unsupported(
@@ -87,21 +95,19 @@ Result<FormulaPtr> QueryEngine::rewrite(const std::string& query,
   }
   // A metered rewrite only reaches here complete (a trip returned
   // above), so the result is safe to share through the cache.
-  if (use_cache) cache_->store(key, g);
+  if (cache_ != nullptr) cache_->store(key, g);
   return g;
 }
 
-Result<bool> QueryEngine::ask(const std::string& sentence,
+Result<bool> QueryEngine::ask(const FormulaPtr& sentence,
                               const RewriteOptions& options) {
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(sentence);
-  if (!parsed.is_ok()) return parsed.status();
-  if (!parsed.value()->free_vars().empty()) {
+  if (!sentence->free_vars().empty()) {
     return Status::invalid("ask: sentence has free variables");
   }
   if (options.cancel != nullptr) {
     CQA_RETURN_IF_ERROR(options.cancel->check());
   }
-  return db_->db().holds(parsed.value(), {});
+  return db_->db().holds(sentence, {});
 }
 
 }  // namespace cqa

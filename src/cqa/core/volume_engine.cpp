@@ -15,15 +15,17 @@
 namespace cqa {
 
 Result<Rational> VolumeEngine::mu(
-    const std::string& query, const std::vector<std::string>& output_vars) {
-  auto cells = queries_.cells(query, output_vars);
+    const ParsedQuery& query, const std::vector<std::string>& output_vars,
+    const RewriteOptions& options) {
+  auto cells = queries_.cells(query, output_vars, options);
   if (!cells.is_ok()) return cells.status();
   return mu_operator(cells.value());
 }
 
 Result<UPoly> VolumeEngine::growth_polynomial(
-    const std::string& query, const std::vector<std::string>& output_vars) {
-  auto cells = queries_.cells(query, output_vars);
+    const ParsedQuery& query, const std::vector<std::string>& output_vars,
+    const RewriteOptions& options) {
+  auto cells = queries_.cells(query, output_vars, options);
   if (!cells.is_ok()) return cells.status();
   auto g = volume_growth(cells.value());
   if (!g.is_ok()) return g.status();
@@ -31,9 +33,10 @@ Result<UPoly> VolumeEngine::growth_polynomial(
 }
 
 Result<VolumeAnswer> VolumeEngine::volume(
-    const std::string& query, const std::vector<std::string>& output_vars,
+    const ParsedQuery& query, const std::vector<std::string>& output_vars,
     const VolumeOptions& options) {
   VolumeAnswer answer;
+  const RewriteOptions rw{options.cancel, options.meter};
 
   if (options.strategy == VolumeStrategy::kMonteCarlo) {
     // Theorem-4 sampling on the serial ParallelSampler, over the same
@@ -43,14 +46,9 @@ Result<VolumeAnswer> VolumeEngine::volume(
     // Polynomial constraints are fine; always VOL_I semantics (samples
     // live in the unit box). Output variables are checked against the
     // query as written.
-    auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(query);
-    if (!parsed.is_ok()) return parsed.status();
     auto element_vars =
-        resolve_element_vars(*db_, parsed.value(), output_vars);
+        resolve_element_vars(*db_, query.formula(), output_vars);
     if (!element_vars.is_ok()) return element_vars.status();
-    RewriteOptions rw;
-    rw.cancel = options.cancel;
-    rw.meter = options.meter;
     auto membership = queries_.rewrite(query, rw);
     if (!membership.is_ok()) return membership.status();
     std::size_t m =
@@ -73,8 +71,8 @@ Result<VolumeAnswer> VolumeEngine::volume(
   }
 
   // Exact strategies go through the FO+LIN pipeline; their results are
-  // memoizable, keyed on the canonical parsed form plus the output
-  // variable list and the options that change the exact answer.
+  // memoizable, keyed on the printed parse plus the output variable list
+  // and the options that change the exact answer.
   std::optional<std::string> cache_key;
   const bool exact_strategy =
       options.strategy == VolumeStrategy::kAuto ||
@@ -82,9 +80,7 @@ Result<VolumeAnswer> VolumeEngine::volume(
       options.strategy == VolumeStrategy::kInclusionExclusion ||
       options.strategy == VolumeStrategy::kVariableIndependent;
   if (cache_ != nullptr && exact_strategy) {
-    auto canon = queries_.canonical_key(query);
-    if (!canon.is_ok()) return canon.status();
-    std::string key = "vol|" + canon.value();
+    std::string key = "vol|" + query.printed();
     for (const auto& v : output_vars) key += "|" + v;
     key += "|s" + std::to_string(static_cast<int>(options.strategy));
     if (options.clip_to_unit_box) key += "|clip";
@@ -94,13 +90,7 @@ Result<VolumeAnswer> VolumeEngine::volume(
     }
     cache_key = std::move(key);
   }
-  auto memoize = [&](const Rational& v) {
-    if (cache_key) cache_->store(*cache_key, v);
-  };
 
-  RewriteOptions rw;
-  rw.cancel = options.cancel;
-  rw.meter = options.meter;
   auto cells = queries_.cells(query, output_vars, rw);
   if (!cells.is_ok()) return cells.status();
   std::vector<LinearCell> live = cells.value();
@@ -108,37 +98,21 @@ Result<VolumeAnswer> VolumeEngine::volume(
     for (auto& c : live) c = c.intersect_box(Rational(0), Rational(1));
   }
 
+  Result<Rational> exact = Status::internal("not an exact strategy");
   switch (options.strategy) {
-    case VolumeStrategy::kAuto: {
-      auto v = semilinear_volume(live, nullptr, options.cancel,
-                                 options.meter);
-      if (!v.is_ok()) return v.status();
-      memoize(v.value());
-      answer.exact = v.value();
-      return answer;
-    }
-    case VolumeStrategy::kExactSweep: {
-      auto v = semilinear_volume_sweep(live, nullptr, options.cancel,
-                                       options.meter);
-      if (!v.is_ok()) return v.status();
-      memoize(v.value());
-      answer.exact = v.value();
-      return answer;
-    }
-    case VolumeStrategy::kInclusionExclusion: {
-      auto v = volume_inclusion_exclusion(live);
-      if (!v.is_ok()) return v.status();
-      memoize(v.value());
-      answer.exact = v.value();
-      return answer;
-    }
-    case VolumeStrategy::kVariableIndependent: {
-      auto v = volume_variable_independent(live);
-      if (!v.is_ok()) return v.status();
-      memoize(v.value());
-      answer.exact = v.value();
-      return answer;
-    }
+    case VolumeStrategy::kAuto:
+      exact = semilinear_volume(live, nullptr, options.cancel, options.meter);
+      break;
+    case VolumeStrategy::kExactSweep:
+      exact = semilinear_volume_sweep(live, nullptr, options.cancel,
+                                      options.meter);
+      break;
+    case VolumeStrategy::kInclusionExclusion:
+      exact = volume_inclusion_exclusion(live);
+      break;
+    case VolumeStrategy::kVariableIndependent:
+      exact = volume_variable_independent(live);
+      break;
     case VolumeStrategy::kEllipsoidBounds: {
       if (live.size() != 1) {
         return Status::invalid(
@@ -171,7 +145,10 @@ Result<VolumeAnswer> VolumeEngine::volume(
     case VolumeStrategy::kMonteCarlo:
       break;  // handled above
   }
-  return Status::internal("unreachable");
+  if (!exact.is_ok()) return exact.status();
+  if (cache_key) cache_->store(*cache_key, exact.value());
+  answer.exact = exact.value();
+  return answer;
 }
 
 }  // namespace cqa

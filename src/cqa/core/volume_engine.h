@@ -96,20 +96,31 @@ class VolumeEngine {
   QueryEngine& queries() { return queries_; }
 
   /// Volume of the query's denotation over the named output variables.
-  Result<VolumeAnswer> volume(const std::string& query,
+  Result<VolumeAnswer> volume(const ParsedQuery& query,
                               const std::vector<std::string>& output_vars,
                               const VolumeOptions& options = {});
 
   /// The Chomicki-Kuper measure-at-infinity of the (possibly unbounded)
   /// denotation: lim Vol(S cap [-r,r]^n) / (2r)^n. Zero on every bounded
-  /// set -- the paper's reason mu cannot express volume.
-  Result<Rational> mu(const std::string& query,
-                      const std::vector<std::string>& output_vars);
+  /// set -- the paper's reason mu cannot express volume. `options` govern
+  /// the cells stage.
+  Result<Rational> mu(const ParsedQuery& query,
+                      const std::vector<std::string>& output_vars,
+                      const RewriteOptions& options);
 
   /// The eventual growth polynomial V(r) = Vol(S cap [-r,r]^n).
-  Result<UPoly> growth_polynomial(const std::string& query,
+  Result<UPoly> growth_polynomial(const ParsedQuery& query,
                                   const std::vector<std::string>&
-                                      output_vars);
+                                      output_vars,
+                                  const RewriteOptions& options);
+
+  /// String form: parse, then forward.
+  Result<VolumeAnswer> volume(const std::string& query,
+                              const std::vector<std::string>& output_vars,
+                              const VolumeOptions& options = {}) {
+    auto q = queries_.parse(query);
+    return q.is_ok() ? volume(q.value(), output_vars, options) : q.status();
+  }
 
  private:
   const ConstraintDatabase* db_;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "cqa/guard/fault.h"
-#include "cqa/logic/printer.h"
 
 namespace cqa {
 
@@ -13,23 +12,33 @@ Counter* metric_or_null(MetricsRegistry* metrics, const char* name) {
   return metrics ? metrics->counter(name) : nullptr;
 }
 
-// Content checksums. FNV-1a over the printed form for formulas (the
-// printed form is already the canonical identity the cache keys use);
+// Content checksums: a structural FNV-1a fold for formulas (no printing),
 // the rational's own hash for volumes. Salted so an all-zero corrupted
 // entry never accidentally verifies.
 constexpr std::uint64_t kChecksumSalt = 0x9e3779b97f4a7c15ULL;
 
-std::uint64_t checksum_string(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL ^ kChecksumSalt;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return (h ^ word) * 1099511628211ULL;
+}
+
+std::uint64_t checksum_poly(std::uint64_t h, const Polynomial& p) {
+  for (const auto& [monomial, coeff] : p.terms()) {
+    for (unsigned e : monomial) h = fold(h, e);
+    h = fold(h, coeff.hash());
   }
   return h;
 }
 
-std::uint64_t checksum_formula(const FormulaPtr& f) {
-  return checksum_string(to_string(f));
+// Every payload field of every node, children in order.
+std::uint64_t checksum_formula(const FormulaPtr& f,
+                               std::uint64_t h = kChecksumSalt) {
+  h = fold(h, static_cast<std::uint64_t>(f->kind()) * 8 +
+                  static_cast<std::uint64_t>(f->op()));
+  h = checksum_poly(h, f->poly());
+  for (const Polynomial& a : f->args()) h = checksum_poly(h, a);
+  h = fold(fold(h, std::hash<std::string>{}(f->pred_name())), f->var());
+  for (const FormulaPtr& c : f->children()) h = checksum_formula(c, h);
+  return fold(h, f->active_domain() ? 1 : 2);
 }
 
 std::uint64_t checksum_rational(const Rational& r) {
@@ -232,10 +241,6 @@ void EvalCache::store_volume(const std::string& key, Rational value) {
   entry.value = std::move(value);
   volumes_.store(key, std::move(entry));
   volume_flights_.land(key);
-}
-
-std::size_t EvalCache::flights_in_flight() const {
-  return rewrite_flights_.in_flight() + volume_flights_.in_flight();
 }
 
 CacheStats EvalCache::rewrite_stats() const {

@@ -1,8 +1,8 @@
 // Sharded, LRU-bounded memo-cache for expensive engine results.
 //
-// Keys are canonical strings (the printed form of the parsed query, plus
-// any binding/option fingerprint -- see QueryEngine::canonical_key), so
-// textually different spellings of the same formula share an entry.
+// Keys are canonical strings (ParsedQuery::printed(), the printed parse,
+// plus any binding/option fingerprint), so textually different
+// spellings of the same formula share an entry.
 // Values are immutable (FormulaPtr is shared_ptr<const Formula>;
 // Rational is copied out under the shard lock), so cached results can be
 // handed to any thread.
@@ -260,9 +260,6 @@ class EvalCache {
   CacheStats volume_stats() const;
   /// Both kinds combined.
   CacheStats stats() const;
-
-  /// Flights still running (for tests / introspection).
-  std::size_t flights_in_flight() const;
 
  private:
   friend class ServeFlightScope;

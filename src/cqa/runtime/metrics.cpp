@@ -12,12 +12,6 @@ void Histogram::observe_ns(std::uint64_t ns) {
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
 }
 
-double Histogram::mean_ns() const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  return static_cast<double>(sum_ns()) / static_cast<double>(n);
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];

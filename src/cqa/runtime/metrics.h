@@ -98,8 +98,6 @@ class Histogram {
   std::uint64_t bucket(int b) const {
     return buckets_[b].load(std::memory_order_relaxed);
   }
-  /// Mean latency in nanoseconds (0 when empty).
-  double mean_ns() const;
 
  private:
   friend class MetricsRegistry;  // absorb() merges raw buckets

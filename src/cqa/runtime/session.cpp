@@ -100,7 +100,6 @@ Session::Session(const ConstraintDatabase* db, const SessionOptions& options)
       pool_(options.threads),
       rewrite_adapter_(&cache_),
       volume_adapter_(&cache_),
-      queries_(db),
       volumes_(db),
       aggregates_(db),
       qe_rewrites_total_(metrics_.counter("qe_rewrites_total")),
@@ -116,10 +115,8 @@ Session::Session(const ConstraintDatabase* db, const SessionOptions& options)
       ask_call_ns_(metrics_.histogram("ask_call_ns")),
       aggregate_call_ns_(metrics_.histogram("aggregate_call_ns")),
       planner_plan_ns_(metrics_.histogram("planner_plan_ns")) {
-  queries_.set_cache(&rewrite_adapter_);
   volumes_.set_cache(&volume_adapter_);
-  // The volume engine's internal pipeline shares the same rewrite cache.
-  volumes_.queries().set_cache(&rewrite_adapter_);
+  queries().set_cache(&rewrite_adapter_);
 }
 
 // Out of line for the unique_ptr<serve::Scheduler> member; the
@@ -165,21 +162,25 @@ Result<Answer> Session::run(const Request& request) {
     }
   }();
 
-  if (result.is_ok()) {
-    Answer& answer = result.value();
-    if (answer.degraded()) planner_degraded_total_->inc();
-    const guard::Rung rung = answer.guard.rung;
-    answer.guard = guard::make_report(meter);
-    answer.guard.rung = rung;
-    answer.elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    record_guard(answer.guard);
-  } else {
-    record_guard(guard::make_report(meter));
-  }
+  finish(&result, meter, start);
   return result;
+}
+
+void Session::finish(Result<Answer>* result, const guard::WorkMeter& meter,
+                     std::chrono::steady_clock::time_point start) {
+  if (!result->is_ok()) {
+    record_guard(guard::make_report(meter));
+    return;
+  }
+  Answer& answer = result->value();
+  if (answer.degraded()) planner_degraded_total_->inc();
+  const guard::Rung rung = answer.guard.rung;
+  answer.guard = guard::make_report(meter);
+  answer.guard.rung = rung;
+  answer.elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  record_guard(answer.guard);
 }
 
 Result<Answer> Session::run_impl(const Request& request,
@@ -194,69 +195,72 @@ Result<Answer> Session::run_impl(const Request& request,
     token->set_deadline_after_ms(request.budget.deadline_ms);
   }
 
+  // Per-kind call metrics cover every request of the kind, parse
+  // included, parsable or not.
+  const RequestKind kind = request.kind;
+  Histogram* call_ns = volume_call_ns_;  // kVolume, kMu, kGrowthPolynomial
+  Counter* calls = volume_calls_total_;
+  if (kind == RequestKind::kAsk) {
+    call_ns = ask_call_ns_;
+    calls = nullptr;
+  } else if (kind == RequestKind::kRewrite || kind == RequestKind::kCells) {
+    call_ns = rewrite_call_ns_;
+    calls = qe_rewrites_total_;
+  } else if (kind == RequestKind::kAggregate) {
+    call_ns = aggregate_call_ns_;
+    calls = aggregate_calls_total_;
+  }
+  ScopedTimer timer(call_ns);
+  if (calls != nullptr) calls->inc();
+
+  // The front end, once: every stage below takes the parse, not the text.
+  auto parsed = queries().parse(request.query);
+  if (!parsed.is_ok()) return parsed.status();
+  const ParsedQuery& query = parsed.value();
+  const RewriteOptions rw{token, meter};
+
   Answer answer;
   answer.kind = request.kind;
 
   switch (request.kind) {
     case RequestKind::kAsk: {
-      ScopedTimer timer(ask_call_ns_);
-      RewriteOptions rw;
-      rw.cancel = token;
-      rw.meter = meter;
-      auto r = queries_.ask(request.query, rw);
+      auto r = queries().ask(query.formula(), rw);
       if (!r.is_ok()) return r.status();
       answer.truth = r.value();
       break;
     }
     case RequestKind::kRewrite: {
-      ScopedTimer timer(rewrite_call_ns_);
-      qe_rewrites_total_->inc();
-      RewriteOptions rw;
-      rw.cancel = token;
-      rw.meter = meter;
-      auto r = queries_.rewrite(request.query, rw);
+      auto r = queries().rewrite(query, rw);
       if (!r.is_ok()) return r.status();
       answer.formula = r.value();
       break;
     }
     case RequestKind::kCells: {
-      ScopedTimer timer(rewrite_call_ns_);
-      qe_rewrites_total_->inc();
-      RewriteOptions rw;
-      rw.cancel = token;
-      rw.meter = meter;
-      auto r = queries_.cells(request.query, request.output_vars, rw);
+      auto r = queries().cells(query, request.output_vars, rw);
       if (!r.is_ok()) return r.status();
       answer.cells = r.value();
       break;
     }
     case RequestKind::kVolume: {
-      auto r = run_volume(request, token, meter);
+      auto r = run_volume(request, query, token, meter);
       if (!r.is_ok()) return r.status();
       answer = std::move(r.value());
       break;
     }
     case RequestKind::kMu: {
-      ScopedTimer timer(volume_call_ns_);
-      volume_calls_total_->inc();
-      auto r = volumes_.mu(request.query, request.output_vars);
+      auto r = volumes_.mu(query, request.output_vars, rw);
       if (!r.is_ok()) return r.status();
       answer.mu = r.value();
       break;
     }
     case RequestKind::kGrowthPolynomial: {
-      ScopedTimer timer(volume_call_ns_);
-      volume_calls_total_->inc();
-      auto r = volumes_.growth_polynomial(request.query,
-                                          request.output_vars);
+      auto r = volumes_.growth_polynomial(query, request.output_vars, rw);
       if (!r.is_ok()) return r.status();
       answer.growth = r.value();
       break;
     }
     case RequestKind::kAggregate: {
-      ScopedTimer timer(aggregate_call_ns_);
-      aggregate_calls_total_->inc();
-      auto r = aggregates_.aggregate(request.aggregate_fn, request.query,
+      auto r = aggregates_.aggregate(request.aggregate_fn, query.formula(),
                                      request.output_vars[0],
                                      request.bindings);
       if (!r.is_ok()) return r.status();
@@ -269,37 +273,32 @@ Result<Answer> Session::run_impl(const Request& request,
 }
 
 Result<Answer> Session::run_volume(const Request& request,
+                                   const ParsedQuery& query,
                                    CancelToken* token,
                                    guard::WorkMeter* meter) {
-  ScopedTimer timer(volume_call_ns_);
-  volume_calls_total_->inc();
-
   if (request.strategy) {
     // Planner bypass: the caller pinned a strategy; the budget still
     // arms the deadline and MC sample sizing. A tripped quota degrades
     // to the last rung (expiry keeps its pre-guard error contract for
     // pinned strategies).
-    auto v = forced_volume(request, *request.strategy, token, meter);
+    auto v = forced_volume(request, query, *request.strategy, token, meter);
     if (v.is_ok()) return pinned_answer(std::move(v).take());
     if (v.status().code() != StatusCode::kResourceExhausted) {
       return v.status();
     }
     return degraded_half_answer();
   }
-  return run_planned_volume(request, token, meter);
+  return run_planned_volume(request, query, token, meter);
 }
 
 Result<Answer> Session::run_planned_volume(const Request& request,
+                                           const ParsedQuery& query,
                                            CancelToken* token,
                                            guard::WorkMeter* meter) {
   // --- Stats: cheap structure first, the cached rewrite if available --
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(request.query);
-  if (!parsed.is_ok()) return parsed.status();
-  const std::size_t quantifiers = parsed.value()->count_quantifiers();
-
-  auto expanded = db_->db().expand_active_domain(parsed.value());
-  if (!expanded.is_ok()) return expanded.status();
-  auto inlined = db_->db().inline_predicates(expanded.value());
+  // The inlined form stays with the query, so the engines below reuse it.
+  const std::size_t quantifiers = query.formula()->count_quantifiers();
+  auto inlined = queries().inlined(query);
   if (!inlined.is_ok()) return inlined.status();
   FormulaPtr analysis = inlined.value();
 
@@ -309,10 +308,7 @@ Result<Answer> Session::run_planned_volume(const Request& request,
     // deadline or quota firing inside QE falls straight to the last
     // rung -- for a quota, MC is no rescue here because mc_count_hits
     // needs a quantifier-free formula and QE is exactly what tripped.
-    RewriteOptions rw;
-    rw.cancel = token;
-    rw.meter = meter;
-    auto rewritten = volumes_.queries().rewrite(request.query, rw);
+    auto rewritten = queries().rewrite(query, {token, meter});
     if (rewritten.is_ok()) {
       analysis = rewritten.value();
     } else if (is_degradable(rewritten.status())) {
@@ -344,7 +340,8 @@ Result<Answer> Session::run_planned_volume(const Request& request,
       // rewrite, and MC membership only accepts quantifier-free input.
       // A quota trip here (e.g. during membership plan compilation)
       // degrades to the last rung like any other exhaustion.
-      auto v = pooled_monte_carlo(request, analysis, decision.mc_samples,
+      auto v = pooled_monte_carlo(request, query.formula(), analysis,
+                                  decision.mc_samples,
                                   decision.expected_epsilon, token, meter);
       if (v.is_ok()) {
         answer.volume = v.value();
@@ -367,14 +364,14 @@ Result<Answer> Session::run_planned_volume(const Request& request,
       // (quantifier-free) analysis formula -- sampling is O(1)-memory
       // per point, so it runs fine where the exact sweep could not --
       // and only reaches trivial-1/2 if sampling fails too.
-      auto v = forced_volume(request, decision.chosen, token, meter);
+      auto v = forced_volume(request, query, decision.chosen, token, meter);
       if (v.is_ok()) {
         answer.volume = v.value();
       } else if (v.status().code() == StatusCode::kResourceExhausted &&
                  analysis->is_quantifier_free()) {
         const std::size_t m = blumer_sample_bound(
             request.budget.epsilon, request.budget.delta, stats.vc_dim);
-        auto mc = pooled_monte_carlo(request, analysis, m,
+        auto mc = pooled_monte_carlo(request, query.formula(), analysis, m,
                                      request.budget.epsilon, token, meter);
         if (mc.is_ok()) {
           answer.volume = mc.value();
@@ -404,11 +401,12 @@ Result<Answer> Session::run_planned_volume(const Request& request,
 }
 
 Result<VolumeAnswer> Session::forced_volume(const Request& request,
+                                            const ParsedQuery& query,
                                             VolumeStrategy strategy,
                                             CancelToken* token,
                                             guard::WorkMeter* meter) {
   if (strategy == VolumeStrategy::kMonteCarlo) {
-    auto membership = mc_membership_formula(request.query, token, meter);
+    auto membership = queries().rewrite(query, {token, meter});
     if (!membership.is_ok()) {
       // Expiry or a quota trip inside the QE rewrite degrades to the
       // last rung, the same as expiry inside the sampling itself.
@@ -417,34 +415,21 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
       }
       return membership.status();
     }
-    return pooled_monte_carlo(request, membership.value(),
+    return pooled_monte_carlo(request, query.formula(), membership.value(),
                               mc_sample_size(request),
                               request.budget.epsilon, token, meter);
   }
-  VolumeOptions vo;
-  vo.strategy = strategy;
-  vo.epsilon = request.budget.epsilon;
-  vo.delta = request.budget.delta;
-  vo.seed = request.seed;
-  vo.cancel = token;
-  vo.meter = meter;
-  return volumes_.volume(request.query, request.output_vars, vo);
-}
-
-Result<FormulaPtr> Session::mc_membership_formula(const std::string& query,
-                                                  const CancelToken* token,
-                                                  guard::WorkMeter* meter) {
-  RewriteOptions rw;
-  rw.cancel = token;
-  rw.meter = meter;
-  // rewrite() expands the active domain, inlines predicates, and runs
-  // linear QE iff the result is still quantified; memoized in the
-  // shared rewrite cache. Quantified nonlinear queries error here with
-  // the engine's kUnsupported, which is the right answer for MC too.
-  return volumes_.queries().rewrite(query, rw);
+  return volumes_.volume(query, request.output_vars,
+                         {.strategy = strategy,
+                          .epsilon = request.budget.epsilon,
+                          .delta = request.budget.delta,
+                          .seed = request.seed,
+                          .cancel = token,
+                          .meter = meter});
 }
 
 Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
+                                                 const FormulaPtr& query,
                                                  const FormulaPtr& membership,
                                                  std::size_t sample_size,
                                                  double target_epsilon,
@@ -452,10 +437,8 @@ Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
                                                  guard::WorkMeter* meter) {
   // Validate free variables against the query as written, not the
   // rewrite (QE may simplify a stray free variable away).
-  auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(request.query);
-  if (!parsed.is_ok()) return parsed.status();
   auto element_vars =
-      resolve_element_vars(*db_, parsed.value(), request.output_vars);
+      resolve_element_vars(*db_, query, request.output_vars);
   if (!element_vars.is_ok()) return element_vars.status();
   ParallelSampler sampler(&db_->db(), membership, element_vars.value(),
                           sample_size, request.seed,
@@ -487,26 +470,14 @@ std::vector<Result<Answer>> Session::run_mc_batch(
         std::make_unique<guard::WorkMeter>(requests[i]->budget.quota));
   }
 
-  // resolve() is the single exit for a slot: it stamps the member's
-  // metered usage into the guard report (preserving the rung the answer
-  // already carries), records it, and never overwrites a resolved slot.
+  // resolve() is the single exit for a slot: it finishes the member's
+  // answer from its own meter, like run() does, and never overwrites a
+  // resolved slot.
   std::vector<bool> resolved(n, false);
   auto resolve = [&](std::size_t i, Result<Answer> r) {
     if (resolved[i]) return;
     resolved[i] = true;
-    if (r.is_ok()) {
-      Answer& a = r.value();
-      if (a.degraded()) planner_degraded_total_->inc();
-      const guard::Rung rung = a.guard.rung;
-      a.guard = guard::make_report(*meters[i]);
-      a.guard.rung = rung;
-      a.elapsed_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-      record_guard(a.guard);
-    } else {
-      record_guard(guard::make_report(*meters[i]));
-    }
+    finish(&r, *meters[i], start);
     results[i] = std::move(r);
   };
   auto fail_rest = [&](const Status& s) {
@@ -519,21 +490,24 @@ std::vector<Result<Answer>> Session::run_mc_batch(
   // the shared work must not escape onto the executor thread -- volume
   // requests still own the last rung; anything else is kInternal.
   try {
-    // All members share (query, output_vars), so membership + variable
-    // validation happen once. The shared membership rewrite runs under
-    // one member's token and meter at a time: a degradable failure
-    // (that member's deadline, cancellation, or quota) degrades *that
-    // member only* to trivial-1/2, and the next still-live member
-    // retries -- cancelling request X never degrades request Y. A
-    // structural error fails every member the same way a solo run
-    // would have.
+    // All members share (query, output_vars), so the parse, membership
+    // and variable validation happen once. The shared membership
+    // rewrite runs under one member's token and meter at a time: a
+    // degradable failure (that member's deadline, cancellation, or
+    // quota) degrades *that member only* to trivial-1/2, and the next
+    // still-live member retries -- cancelling request X never degrades
+    // request Y. A structural error fails every member the same way a
+    // solo run would have.
+    const Request& head = *requests[0];
+    auto query = queries().parse(head.query);
+    if (!query.is_ok()) return fail_rest(query.status());
     Result<FormulaPtr> membership{Status::internal("no live member")};
     bool have_membership = false;
     for (std::size_t i = 0; i < n && !have_membership; ++i) {
       guard::MeterScope meter_scope(meters[i].get());
       ServeTokenScope token_scope(tokens[i]);
-      membership = mc_membership_formula(requests[i]->query, tokens[i],
-                                         meters[i].get());
+      membership =
+          queries().rewrite(query.value(), {tokens[i], meters[i].get()});
       if (membership.is_ok()) {
         have_membership = true;
       } else if (is_degradable(membership.status())) {
@@ -544,11 +518,8 @@ std::vector<Result<Answer>> Session::run_mc_batch(
     }
     if (!have_membership) return results;  // every member degraded
 
-    const Request& head = *requests[0];
-    auto parsed = const_cast<ConstraintDatabase*>(db_)->parse(head.query);
-    if (!parsed.is_ok()) return fail_rest(parsed.status());
     auto element_vars =
-        resolve_element_vars(*db_, parsed.value(), head.output_vars);
+        resolve_element_vars(*db_, query.value().formula(), head.output_vars);
     if (!element_vars.is_ok()) return fail_rest(element_vars.status());
 
     // One sampler per still-live member: its own Blumer-sized sample

@@ -40,13 +40,14 @@
 // removed at the end of their deprecation window; construct Requests
 // (README has the migration table).
 //
-// Thread-safety: a Session may be shared by readers as long as the
-// underlying ConstraintDatabase is not mutated concurrently (the
-// engines themselves never mutate it).
+// Thread-safety: a Session may be shared by any number of threads once
+// its ConstraintDatabase is loaded; nothing in a request mutates the
+// database (see the contract in aggregate/database.h).
 
 #ifndef CQA_RUNTIME_SESSION_H_
 #define CQA_RUNTIME_SESSION_H_
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -138,24 +139,24 @@ class Session {
     EvalCache* cache_;
   };
 
+  // The one query pipeline (and rewrite cache), shared by every kind.
+  QueryEngine& queries() { return volumes_.queries(); }
   Result<Answer> run_impl(const Request& request, guard::WorkMeter* meter);
-  Result<Answer> run_volume(const Request& request, CancelToken* token,
-                            guard::WorkMeter* meter);
+  Result<Answer> run_volume(const Request& request, const ParsedQuery& query,
+                            CancelToken* token, guard::WorkMeter* meter);
   Result<Answer> run_planned_volume(const Request& request,
+                                    const ParsedQuery& query,
                                     CancelToken* token,
                                     guard::WorkMeter* meter);
   Result<VolumeAnswer> forced_volume(const Request& request,
+                                     const ParsedQuery& query,
                                      VolumeStrategy strategy,
                                      CancelToken* token,
                                      guard::WorkMeter* meter);
-  // The quantifier-free membership formula Monte-Carlo evaluates:
-  // expand + inline, plus the (memoized) linear QE rewrite when the
-  // query is quantified. mc_count_hits rejects quantified formulas, so
-  // every MC entry point must sample this, never the raw parse.
-  Result<FormulaPtr> mc_membership_formula(const std::string& query,
-                                           const CancelToken* token,
-                                           guard::WorkMeter* meter);
+  // Samples the quantifier-free `membership` (the planner's analysis
+  // formula or the query's rewrite, never the raw parse `query`).
   Result<VolumeAnswer> pooled_monte_carlo(const Request& request,
+                                          const FormulaPtr& query,
                                           const FormulaPtr& membership,
                                           std::size_t sample_size,
                                           double target_epsilon,
@@ -168,6 +169,11 @@ class Session {
   std::vector<Result<Answer>> run_mc_batch(
       const std::vector<const Request*>& requests,
       const std::vector<CancelToken*>& tokens);
+  // Stamps a finished request's answer with the guard report of its
+  // meter (keeping the rung it carries) and its elapsed time, and
+  // records both in the metrics.
+  void finish(Result<Answer>* result, const guard::WorkMeter& meter,
+              std::chrono::steady_clock::time_point start);
   void record_plan(const PlanDecision& decision);
   void record_guard(const guard::GuardReport& report);
 
@@ -178,7 +184,6 @@ class Session {
   ThreadPool pool_;
   RewriteCacheAdapter rewrite_adapter_;
   VolumeCacheAdapter volume_adapter_;
-  QueryEngine queries_;
   VolumeEngine volumes_;
   AggregationEngine aggregates_;
 

@@ -20,6 +20,7 @@
 #include <new>
 #include <utility>
 
+#include "cqa/approx/random.h"
 #include "cqa/core/constraint_database.h"
 #include "cqa/plan/planner.h"
 #include "cqa/serve/scheduler.h"
@@ -538,8 +539,7 @@ void Server::handle_request(const ClientConnPtr& conn, const Frame& frame) {
   }
 
   const std::string fingerprint = serve::request_fingerprint(request);
-  const std::size_t shard =
-      bincode::fnv1a(fingerprint, kShardSalt) % workers_.size();
+  const std::size_t shard = shard_of(request);
 
   if (cache_) {
     if (auto hit = cache_->lookup(fingerprint)) {
@@ -880,8 +880,20 @@ pid_t Server::worker_pid(std::size_t shard) const {
 }
 
 std::size_t Server::shard_of(const Request& request) const {
+  // A hash of what names the computation (kind, query, output
+  // variables, bindings), not of its budget or seed. FNV-1a's low k
+  // bits depend only on the low k bits of each byte, so splitmix64's
+  // finalizer (stream_seed) mixes the hash before the modulus.
+  std::string key;
+  bincode::put_u8(&key, static_cast<std::uint8_t>(request.kind));
+  bincode::put_str(&key, request.query);
+  for (const auto& v : request.output_vars) bincode::put_str(&key, v);
+  for (const auto& [name, value] : request.bindings) {
+    bincode::put_str(&key, name);
+    bincode::put_str(&key, value.to_string());
+  }
   const std::size_t n = workers_.empty() ? options_.workers : workers_.size();
-  return bincode::fnv1a(serve::request_fingerprint(request), kShardSalt) % n;
+  return stream_seed(bincode::fnv1a(key, kShardSalt), 0) % n;
 }
 
 ServerStats Server::stats() const {

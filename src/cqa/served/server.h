@@ -2,7 +2,7 @@
 //
 //                        +----------------------------+
 //   client ---frame--->  |  router (this process)     |
-//   client ---frame--->  |   - fingerprint -> shard   |   socketpair
+//   client ---frame--->  |   - query -> shard         |   socketpair
 //   client ---frame--->  |   - admission / shed       | <---------> worker 0
 //                        |   - disk result cache      | <---------> worker 1
 //                        |   - crash containment      | <---------> worker N-1
@@ -11,10 +11,11 @@
 // Server::start() forks N worker processes, each owning a full Session
 // (engines + pool + EvalCache + serve::Scheduler), then serves client
 // connections on a TCP or unix-domain socket. Every incoming request is
-// fingerprinted with serve::request_fingerprint -- the same
-// platform-stable bytes the in-process scheduler coalesces on -- and
-// routed by fingerprint hash, so duplicate-heavy traffic lands on the
-// same worker and coalesces *across* client connections and processes.
+// routed by a hash of its kind, query, output variables and bindings,
+// so duplicates coalesce on one worker *across* client connections, and
+// variants that differ only in epsilon, deadline, quota or seed meet
+// that worker's exact-volume cache and Monte-Carlo batching. The disk
+// cache keys on the full serve::request_fingerprint.
 //
 // The shed-to-certified-trivial-1/2 ladder holds end-to-end:
 //
@@ -145,8 +146,9 @@ class Server {
   std::size_t worker_count() const { return workers_.size(); }
   /// Current pid of a shard's worker (test seam for kill -9).
   pid_t worker_pid(std::size_t shard) const;
-  /// The shard a request routes to (test seam: aim a kill at the shard
-  /// that serves a known query).
+  /// The shard a request routes to, by kind, query, output variables
+  /// and bindings (test seam: aim a kill at the shard that serves a
+  /// known query).
   std::size_t shard_of(const Request& request) const;
 
   ServerStats stats() const;

@@ -22,12 +22,6 @@ inline void put_u8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-inline void put_u16(std::string* out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
 inline void put_u32(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -70,18 +64,6 @@ class Reader {
   bool get_u8(std::uint8_t* v) {
     if (pos_ + 1 > size_) return fail();
     *v = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool get_u16(std::uint16_t* v) {
-    if (pos_ + 2 > size_) return fail();
-    std::uint16_t out = 0;
-    for (int i = 0; i < 2; ++i) {
-      out |= static_cast<std::uint16_t>(
-          static_cast<std::uint8_t>(data_[pos_ + i]) << (8 * i));
-    }
-    pos_ += 2;
-    *v = out;
     return true;
   }
 

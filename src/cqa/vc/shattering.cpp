@@ -71,6 +71,7 @@ Result<TraceFamily> build_traces(const Database& db, const FormulaPtr& phi,
   if (ground_set.size() > 64) {
     return Status::invalid("ground set too large (max 64)");
   }
+  const Database::Compiled compiled = db.compile(phi);
   TraceFamily family(ground_set.size());
   for (const RVec& a : param_pool) {
     if (a.size() != param_vars.size()) {
@@ -89,7 +90,7 @@ Result<TraceFamily> build_traces(const Database& db, const FormulaPtr& phi,
       for (std::size_t j = 0; j < element_vars.size(); ++j) {
         assignment[element_vars[j]] = x[j];
       }
-      auto r = db.holds(phi, assignment);
+      auto r = db.holds(compiled, assignment);
       if (!r.is_ok()) return r.status();
       if (r.value()) mask |= 1ull << i;
     }

@@ -7,23 +7,6 @@
 
 namespace cqa {
 
-LinearCell drop_var(const LinearCell& cell, std::size_t var) {
-  CQA_CHECK(var < cell.dim());
-  LinearCell out(cell.dim() - 1);
-  for (const auto& c : cell.constraints()) {
-    CQA_CHECK(c.coeffs[var].is_zero());
-    LinearConstraint nc;
-    nc.cmp = c.cmp;
-    nc.rhs = c.rhs;
-    nc.coeffs.reserve(cell.dim() - 1);
-    for (std::size_t k = 0; k < cell.dim(); ++k) {
-      if (k != var) nc.coeffs.push_back(c.coeffs[k]);
-    }
-    out.add(std::move(nc));
-  }
-  return out;
-}
-
 bool is_full_dimensional(const LinearCell& cell) {
   std::vector<LinearConstraint> strict;
   strict.reserve(cell.constraints().size());

@@ -72,10 +72,6 @@ Result<Rational> formula_volume(const FormulaPtr& f, std::size_t dim);
 /// defined; the paper's bounded operator).
 Result<Rational> formula_volume_I(const FormulaPtr& f, std::size_t dim);
 
-/// Drops coordinate `var` from a cell whose constraints do not mention it
-/// (shifting higher variable indices down by one).
-LinearCell drop_var(const LinearCell& cell, std::size_t var);
-
 /// Full-dimensionality test: the cell's interior (all constraints made
 /// strict) is nonempty. Lower-dimensional cells have measure zero.
 bool is_full_dimensional(const LinearCell& cell);

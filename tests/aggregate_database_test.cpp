@@ -99,6 +99,21 @@ TEST(Database, ActiveDomainQuantifiers) {
   EXPECT_FALSE(db.holds(g, {}).value_or_die());
 }
 
+TEST(Database, HoldsSeesRelationsAddedAfterFirstCall) {
+  // holds() keeps nothing between calls: an active-domain quantifier
+  // decided once is decided again against the database as it is now.
+  Database db;
+  ASSERT_TRUE(db.add_finite("R", 1, {pt({1})}).is_ok());
+  // exists-adom x: x = 2.
+  FormulaPtr f = Formula::exists(
+      0,
+      Formula::eq(Polynomial::variable(0), Polynomial::constant(Rational(2))),
+      /*active_domain=*/true);
+  EXPECT_FALSE(db.holds(f, {}).value_or_die());
+  ASSERT_TRUE(db.add_finite("S", 1, {pt({2})}).is_ok());
+  EXPECT_TRUE(db.holds(f, {}).value_or_die());
+}
+
 TEST(Endpoints, FiniteRelationEndpoints) {
   Database db;
   ASSERT_TRUE(db.add_finite("U", 1, {pt({3}), pt({1}), pt({7})}).is_ok());

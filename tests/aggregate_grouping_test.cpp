@@ -113,7 +113,8 @@ TEST(BagSemantics, SetVsBagAvgDiffer) {
   EXPECT_EQ(bag, Rational(10, 4));
   // Set-semantics AVG over the same relation's *distinct* values.
   Rational set_avg =
-      agg.aggregate(AggregateFn::kAvg, "B(v)", "v").value_or_die();
+      agg.aggregate(AggregateFn::kAvg, db.parse("B(v)").value(), "v")
+          .value_or_die();
   EXPECT_EQ(set_avg, Rational(5));
 }
 

@@ -47,8 +47,9 @@ TEST(QueryEngine, CellsAndClosure) {
   ConstraintDatabase db = make_gis_db();
   QueryEngine q(&db);
   // Wet parcel area: intersection of the two regions.
-  auto cells = q.cells("Parcel(x, y) & Lake(x, y)", {"x", "y"})
-                   .value_or_die();
+  auto cells =
+      q.cells(q.parse("Parcel(x, y) & Lake(x, y)").value(), {"x", "y"}, {})
+          .value_or_die();
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(polytope_volume(Polyhedron(cells[0])).value_or_die(),
             Rational(1, 2));
@@ -58,8 +59,9 @@ TEST(QueryEngine, QuantifiedQuery) {
   ConstraintDatabase db = make_gis_db();
   QueryEngine q(&db);
   // x-coordinates over which the parcel has some lake coverage.
-  auto cells = q.cells("E y. Parcel(x, y) & Lake(x, y)", {"x"})
-                   .value_or_die();
+  auto cells =
+      q.cells(q.parse("E y. Parcel(x, y) & Lake(x, y)").value(), {"x"}, {})
+          .value_or_die();
   ASSERT_GE(cells.size(), 1u);
   AxisInterval iv = cells[0].project_to_axis(0);
   EXPECT_EQ(*iv.lo, Rational(1));
@@ -69,16 +71,18 @@ TEST(QueryEngine, QuantifiedQuery) {
 TEST(QueryEngine, Ask) {
   ConstraintDatabase db = make_gis_db();
   QueryEngine q(&db);
-  EXPECT_TRUE(q.ask("E x. E y. Parcel(x, y) & Lake(x, y)").value_or_die());
-  EXPECT_FALSE(
-      q.ask("E x. E y. Parcel(x, y) & x > 5").value_or_die());
-  EXPECT_FALSE(q.ask("Parcel(x, 0)").is_ok());  // free variable
+  auto ask = [&](const char* sentence) {
+    return q.ask(db.parse(sentence).value(), {});
+  };
+  EXPECT_TRUE(ask("E x. E y. Parcel(x, y) & Lake(x, y)").value_or_die());
+  EXPECT_FALSE(ask("E x. E y. Parcel(x, y) & x > 5").value_or_die());
+  EXPECT_FALSE(ask("Parcel(x, 0)").is_ok());  // free variable
 }
 
 TEST(QueryEngine, RewriteIsQuantifierFree) {
   ConstraintDatabase db = make_gis_db();
   QueryEngine q(&db);
-  auto f = q.rewrite("E y. Parcel(x, y)").value_or_die();
+  auto f = q.rewrite("E y. Parcel(x, y)", {}).value_or_die();
   EXPECT_TRUE(f->is_quantifier_free());
   EXPECT_FALSE(f->has_predicates());
 }
@@ -169,14 +173,19 @@ TEST(VolumeEngine, MuAndGrowth) {
                           "0 <= x & x <= 1 & 0 <= y & y <= 1")
                 .is_ok());
   VolumeEngine v(&db);
-  EXPECT_EQ(v.mu("Cone(x, y)", {"x", "y"}).value_or_die(), Rational(1, 8));
-  EXPECT_EQ(v.mu("Box(x, y)", {"x", "y"}).value_or_die(), Rational(0));
-  UPoly g = v.growth_polynomial("Cone(x, y)", {"x", "y"}).value_or_die();
+  auto mu = [&](const char* query) {
+    return v.mu(v.queries().parse(query).value(), {"x", "y"}, {});
+  };
+  EXPECT_EQ(mu("Cone(x, y)").value_or_die(), Rational(1, 8));
+  EXPECT_EQ(mu("Box(x, y)").value_or_die(), Rational(0));
+  UPoly g = v.growth_polynomial(v.queries().parse("Cone(x, y)").value(),
+                                {"x", "y"}, {})
+                .value_or_die();
   EXPECT_EQ(g.degree(), 2);
   EXPECT_EQ(g.coeff(2), Rational(1, 2));
   // mu distributes through queries: the union of the cone with a bounded
   // set has the same mu.
-  EXPECT_EQ(v.mu("Cone(x, y) | Box(x, y)", {"x", "y"}).value_or_die(),
+  EXPECT_EQ(mu("Cone(x, y) | Box(x, y)").value_or_die(),
             Rational(1, 8));
 }
 
@@ -184,7 +193,7 @@ TEST(AggregationEngine, SqlOverTable) {
   ConstraintDatabase db = make_gis_db();
   AggregationEngine agg(&db);
   // Values v with Reading(k, v) for some k <= 2.
-  const std::string q = "E k. Reading(k, v) & k <= 2";
+  const FormulaPtr q = db.parse("E k. Reading(k, v) & k <= 2").value();
   EXPECT_EQ(agg.aggregate(AggregateFn::kCount, q, "v").value_or_die(),
             Rational(2));
   EXPECT_EQ(agg.aggregate(AggregateFn::kSum, q, "v").value_or_die(),
@@ -202,8 +211,8 @@ TEST(AggregationEngine, UnsafeRejected) {
   ConstraintDatabase db = make_gis_db();
   AggregationEngine agg(&db);
   // Infinite output: all x inside the parcel at y=0.
-  EXPECT_FALSE(
-      agg.aggregate(AggregateFn::kSum, "Parcel(w, 0)", "w").is_ok());
+  const FormulaPtr q = db.parse("Parcel(w, 0)").value();
+  EXPECT_FALSE(agg.aggregate(AggregateFn::kSum, q, "w").is_ok());
 }
 
 TEST(AggregationEngine, PolygonAreaBothWays) {

@@ -78,7 +78,8 @@ TEST_P(IntegrationProperty, AskConsistentWithVolume) {
   auto vi = *vol.volume("A(x, y) & B(x, y)", {"x", "y"})
                  .value_or_die()
                  .exact;
-  bool meets = q.ask("E x. E y. A(x, y) & B(x, y)").value_or_die();
+  bool meets = q.ask(db.parse("E x. E y. A(x, y) & B(x, y)").value(), {})
+                   .value_or_die();
   if (vi > Rational(0)) {
     EXPECT_TRUE(meets) << "seed " << GetParam();
   }
@@ -92,7 +93,8 @@ TEST_P(IntegrationProperty, ProjectionConsistency) {
   // projection being at least as large as vol(A) / (y-extent).
   ConstraintDatabase db = random_db(GetParam() ^ 0xCC);
   QueryEngine q(&db);
-  auto cells = q.cells("E y. A(x, y)", {"x"}).value_or_die();
+  auto cells =
+      q.cells(q.parse("E y. A(x, y)").value(), {"x"}, {}).value_or_die();
   Rational proj_len = semilinear_volume(cells).value_or_die();
   VolumeEngine vol(&db);
   auto va = *vol.volume("A(x, y)", {"x", "y"}).value_or_die().exact;
@@ -135,8 +137,9 @@ TEST_P(IntegrationProperty, GroupByTotalsMatchUngrouped) {
       agg.group_by(AggregateFn::kSum, "T(g, v)", "g", "v").value_or_die();
   Rational group_total;
   for (const auto& [g, s] : grouped) group_total += s;
-  Rational flat = agg.aggregate(AggregateFn::kSum, "E g. T(g, v)", "v")
-                      .value_or_die();
+  Rational flat =
+      agg.aggregate(AggregateFn::kSum, db.parse("E g. T(g, v)").value(), "v")
+          .value_or_die();
   // Distinct-value semantics: the flat SUM is over distinct v values; the
   // grouped sum counts v per group. They agree when no value collides
   // across or within groups; compare against a direct computation instead.

@@ -36,13 +36,16 @@ TEST(MixedFragment, QuantifiedPolynomialSentences) {
   CQA_CHECK(db.add_region("Parab", {"x", "y"}, "y >= x^2").is_ok());
   QueryEngine q(&db);
   // E x: (x, 1) in Parab, i.e. 1 >= x^2: true.
-  EXPECT_TRUE(q.ask("E x. Parab(x, 1)").value_or_die());
+  auto ask = [&](const char* sentence) {
+    return q.ask(db.parse(sentence).value(), {});
+  };
+  EXPECT_TRUE(ask("E x. Parab(x, 1)").value_or_die());
   // E x: (x, -1) in Parab: -1 >= x^2 is impossible.
-  EXPECT_FALSE(q.ask("E x. Parab(x, 0 - 1)").value_or_die());
+  EXPECT_FALSE(ask("E x. Parab(x, 0 - 1)").value_or_die());
   // A x: (x, x^2) on the boundary is in the region.
-  EXPECT_TRUE(q.ask("A x. Parab(x, x^2)").value_or_die());
+  EXPECT_TRUE(ask("A x. Parab(x, x^2)").value_or_die());
   // A x: (x, x^2 - 1) is NOT always inside.
-  EXPECT_FALSE(q.ask("A x. Parab(x, x^2 - 1)").value_or_die());
+  EXPECT_FALSE(ask("A x. Parab(x, x^2 - 1)").value_or_die());
 }
 
 TEST(MixedFragment, EndOverPolynomialRegionSection) {
@@ -96,11 +99,11 @@ TEST(MixedFragment, LinearEngineRejectsNonlinearGracefully) {
   QueryEngine q(&db);
   // cells() needs linear QE; a quantified polynomial query must error
   // with kUnsupported, not crash or mis-answer.
-  auto cells = q.cells("E y. Disk(x, y)", {"x"});
+  auto cells = q.cells(q.parse("E y. Disk(x, y)").value(), {"x"}, {});
   EXPECT_FALSE(cells.is_ok());
   EXPECT_EQ(cells.status().code(), StatusCode::kUnsupported);
   // Quantifier-free polynomial queries pass through rewrite() unchanged.
-  auto qf = q.rewrite("Disk(x, y)");
+  auto qf = q.rewrite("Disk(x, y)", {});
   ASSERT_TRUE(qf.is_ok());
   EXPECT_TRUE(qf.value()->is_quantifier_free());
 }

@@ -501,6 +501,55 @@ TEST(SessionRunTest, BuilderRequestsCoverTheOldShimSurface) {
   EXPECT_EQ(session.metrics().counter_value("volume_calls_total"), 1u);
 }
 
+// kMu and kGrowthPolynomial run their cells stage under the request's
+// token and meter, as kCells does: a cancelled token and a tripped quota
+// come back as typed errors, not as a computed answer.
+constexpr const char* kQuantifiedTriangle =
+    "E u. 0 <= u & u <= 1 & x + y <= u & x >= 0 & y >= 0";
+
+void expect_token_and_meter_honoured(RequestKind kind) {
+  ConstraintDatabase db;
+  Session session(&db);
+  CancelToken token;
+  token.cancel();
+  Request cancelled = volume_request(kTriangle);
+  cancelled.kind = kind;
+  cancelled.cancel = &token;
+  auto c = session.run(cancelled);
+  ASSERT_FALSE(c.is_ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kCancelled);
+
+  Request tripped = volume_request(kQuantifiedTriangle);
+  tripped.kind = kind;
+  tripped.budget.quota = guard::ResourceQuota::unlimited();
+  tripped.budget.quota.max_qe_atoms = 1;  // any elimination trips
+  auto t = session.run(tripped);
+  ASSERT_FALSE(t.is_ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(SessionRunTest, MuHonoursTokenAndMeter) {
+  expect_token_and_meter_honoured(RequestKind::kMu);
+}
+
+TEST(SessionRunTest, GrowthPolynomialHonoursTokenAndMeter) {
+  expect_token_and_meter_honoured(RequestKind::kGrowthPolynomial);
+}
+
+TEST(SessionRunTest, UnparsableRequestsStillCountAsCallsOfTheirKind) {
+  ConstraintDatabase db;
+  Session session(&db);
+  const std::string bad = "0 <= x &";
+  EXPECT_FALSE(session.run(Request::volume(bad).vars({"x"})).is_ok());
+  EXPECT_FALSE(session.run(Request::cells(bad).vars({"x"})).is_ok());
+  EXPECT_FALSE(
+      session.run(Request::aggregate(AggregateFn::kCount, bad).vars({"x"}))
+          .is_ok());
+  EXPECT_EQ(session.metrics().counter_value("volume_calls_total"), 1u);
+  EXPECT_EQ(session.metrics().counter_value("qe_rewrites_total"), 1u);
+  EXPECT_EQ(session.metrics().counter_value("aggregate_calls_total"), 1u);
+}
+
 TEST(SessionRunTest, RunRejectsInvalidRequestsUpFront) {
   ConstraintDatabase db;
   Session session(&db);

@@ -215,5 +215,39 @@ TEST(ServeConcurrency, MixedSubmitAndRunShareTheCachesSafely) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ServeConcurrency, ConcurrentAsksOverRegionsAreRaceFree) {
+  // Every kAsk decides its sentence through Database::holds, which
+  // inlines the region and eliminates quantifiers. The default Session
+  // runs two executors, so asks run concurrently over one Database;
+  // each is a distinct sentence (nothing coalesces) with a known truth:
+  // the unit box meets x + y <= c iff c >= 0.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.add_region("Box", {"s", "t"},
+                            "0 <= s & s <= 1 & 0 <= t & t <= 1")
+                  .is_ok());
+  Session session(&db);
+  const int kThreads = 4;
+  const int kPerThread = 50;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  submitters.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int c = t * kPerThread + i - kPerThread;
+        auto a = session
+                     .submit(Request::ask("E x. E y. Box(x, y) & x + y <= " +
+                                          std::to_string(c)))
+                     .wait();
+        if (!a.is_ok() || a.value().truth != (c >= 0)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 }  // namespace
 }  // namespace cqa

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,6 +117,78 @@ TEST(ServedFleet, MixedTrafficMatchesLocalSession) {
   cleanup(options);
 }
 
+// A distinct exact 2-D polygon per k (the planner routes each to the
+// exact sweep at any epsilon below).
+Request exact_polygon(int k, double epsilon) {
+  return Request::volume("0 <= x & x <= 1 & 0 <= y & y <= x + " +
+                         std::to_string(k))
+      .vars({"x", "y"})
+      .epsilon(epsilon)
+      .build();
+}
+
+// Sum of every shard's "cache_hits_total <n>" line in a stats dump.
+std::uint64_t worker_cache_hits(const std::string& stats) {
+  const std::string key = "\ncache_hits_total ";
+  std::uint64_t total = 0;
+  for (std::size_t at = stats.find(key); at != std::string::npos;
+       at = stats.find(key, at + 1)) {
+    total += std::stoull(stats.substr(at + key.size()));
+  }
+  return total;
+}
+
+TEST(ServedFleet, RouterShardsOnTheQueryNotTheBudgetOrSeed) {
+  // Routing on kind + query + output variables + bindings: epsilon and
+  // seed variants of one query meet one worker's volume cache and MC
+  // batching. Power-of-two and odd fleets alike.
+  for (std::size_t workers : {2u, 3u, 4u}) {
+    served::Server server(fleet_options("route.sock", workers));
+    std::set<std::size_t> binding_shards;
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(server.shard_of(exact_polygon(k, 0.05)),
+                server.shard_of(exact_polygon(k, 0.02)))
+          << "workers " << workers << " k " << k;
+      EXPECT_EQ(server.shard_of(slow_mc(k)), server.shard_of(slow_mc(k + 100)))
+          << "workers " << workers << " k " << k;
+      // Bound-parameter variants of one aggregate share nothing a
+      // worker caches, so they spread like distinct queries.
+      binding_shards.insert(server.shard_of(
+          Request::aggregate(AggregateFn::kSum, "R(a, b)")
+              .vars({"b"})
+              .bind("a", Rational(k))
+              .build()));
+    }
+    EXPECT_GT(binding_shards.size(), 1u) << "workers " << workers;
+  }
+}
+
+TEST(ServedFleet, EpsilonVariantOfAnExactQueryHitsTheWorkerCache) {
+  served::ServedOptions options = fleet_options("epsvariant.sock", 2);
+  served::Server server(options);
+  ASSERT_TRUE(server.start().is_ok());
+  served::Client client = must_connect(options.unix_path);
+  constexpr int kQueries = 8;
+  for (double epsilon : {0.05, 0.02}) {
+    for (int k = 0; k < kQueries; ++k) {
+      auto a = client.call(exact_polygon(k, epsilon));
+      ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+      ASSERT_TRUE(a.value().volume.exact.has_value());
+      EXPECT_EQ(*a.value().volume.exact, Rational(2 * k + 1, 2));
+    }
+  }
+  // Every epsilon-0.02 request found its exact volume where the
+  // epsilon-0.05 one had computed it.
+  auto stats = client.stats();
+  ASSERT_TRUE(stats.is_ok());
+  EXPECT_EQ(worker_cache_hits(stats.value()),
+            static_cast<std::uint64_t>(kQueries))
+      << stats.value();
+
+  server.stop();
+  cleanup(options);
+}
+
 TEST(ServedFleet, Kill9CostsExactlyOneShard) {
   served::ServedOptions options = fleet_options("kill9.sock", 3);
   ParkLatch latch;  // before start(): the forked workers inherit it
@@ -180,10 +253,12 @@ TEST(ServedFleet, Kill9CostsExactlyOneShard) {
   // fidelity answers, and the respawned victim works again too.
   served::Client client = must_connect(options.unix_path);
   std::size_t other_shard_answers = 0;
+  // Shards route on the query text, so each probe is a distinct query
+  // (the redundant bound on x keeps the region the same).
   for (std::uint64_t s = 1000; s < 1100 && other_shard_answers < 2; ++s) {
-    Request r = Request::volume("0 <= x & x <= 1 & 0 <= y & 2*y <= 1")
+    Request r = Request::volume("0 <= x & x <= 1 & 0 <= y & 2*y <= 1 & x <= " +
+                                std::to_string(s))
                     .vars({"x", "y"})
-                    .seed(s)
                     .build();
     if (server.shard_of(r) == victim) continue;
     auto a = client.call(r);
