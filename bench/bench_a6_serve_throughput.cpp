@@ -1,9 +1,11 @@
 // A6 -- serve-layer throughput: submit() with coalescing and MC
-// batching must beat thread-per-request run() by >= 2x on a duplicate-
-// heavy Monte-Carlo workload at equal thread count. The workload is the
-// serving layer's reason to exist: K distinct forced-MC volume requests,
-// each arriving D times (dashboards refreshing the same query), so the
-// scheduler serves K computations where the baseline serves K*D.
+// grouping (queued same-query MC requests run concurrently, each
+// through run()) must beat thread-per-request run() by >= 2x on a
+// duplicate-heavy Monte-Carlo workload at equal thread count. The
+// workload is the serving layer's reason to exist: K distinct forced-MC
+// volume requests, each arriving D times (dashboards refreshing the same
+// query), so the scheduler serves K computations where the baseline
+// serves K*D.
 //
 // Both sides get the same concurrency: T caller threads draining the
 // request list through run() versus T scheduler executors draining the
@@ -94,7 +96,7 @@ double time_thread_per_request(const std::vector<Request>& reqs) {
 }
 
 // Serving side: the same arrivals submitted up front, drained by T
-// executors with duplicate coalescing and MC batch fusion.
+// executors with duplicate coalescing and concurrent MC groups.
 double time_submit(const std::vector<Request>& reqs,
                    std::uint64_t* coalesced, std::uint64_t* batched,
                    std::uint64_t* points) {
@@ -120,7 +122,7 @@ double time_submit(const std::vector<Request>& reqs,
 void print_table() {
   cqa_bench::header(
       "A6: serve throughput (submit batching vs thread-per-request run)",
-      "coalescing + MC batch fusion serve duplicate-heavy traffic >= 2x "
+      "coalescing + concurrent MC groups serve duplicate-heavy traffic >= 2x "
       "faster than synchronous run() at equal thread count");
 
   const std::vector<Request> reqs = workload();

@@ -1,7 +1,7 @@
 // The serving layer in one example: submit() returns a Ticket
 // immediately, a Scheduler drains per-priority lanes on background
 // executors, duplicate requests coalesce into one computation, and
-// compatible Monte-Carlo requests fuse into shared sampling batches.
+// compatible Monte-Carlo requests queued together run concurrently.
 //
 // Build & run:  ./build/examples/serve_traffic
 
@@ -43,9 +43,10 @@ int main() {
                   session.metrics().counter_value("serve_coalesced_total")));
 
   // Monte-Carlo traffic with distinct seeds can't coalesce -- the seeds
-  // promise different sample streams -- but compatible requests fuse
-  // into one batched pass over the pool. Each answer is still bitwise
-  // identical to what a solo run() with that seed would produce.
+  // promise different sample streams -- but compatible requests queued
+  // together are dequeued as one group and run side by side on the
+  // pool. Each goes through run(), so its answer is exactly what a solo
+  // run() with that seed produces.
   std::vector<serve::Ticket> mc;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     mc.push_back(session.submit(Request::volume("x^2 + y^2 <= 1")

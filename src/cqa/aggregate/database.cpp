@@ -192,16 +192,20 @@ Result<FormulaPtr> Database::expand_active_domain(const FormulaPtr& f) const {
     case Kind::kNot: {
       auto sub = expand_active_domain(f->children()[0]);
       if (!sub.is_ok()) return sub;
+      if (sub.value() == f->children()[0]) return f;
       return Formula::f_not(sub.value());
     }
     case Kind::kAnd:
     case Kind::kOr: {
       std::vector<FormulaPtr> kids;
+      bool changed = false;
       for (const auto& c : f->children()) {
         auto sub = expand_active_domain(c);
         if (!sub.is_ok()) return sub;
+        changed = changed || sub.value() != c;
         kids.push_back(sub.value());
       }
+      if (!changed) return f;
       return f->kind() == Kind::kAnd ? Formula::f_and(std::move(kids))
                                      : Formula::f_or(std::move(kids));
     }
@@ -210,6 +214,7 @@ Result<FormulaPtr> Database::expand_active_domain(const FormulaPtr& f) const {
       auto body = expand_active_domain(f->children()[0]);
       if (!body.is_ok()) return body;
       if (!f->active_domain()) {
+        if (body.value() == f->children()[0]) return f;
         return f->kind() == Kind::kExists
                    ? Formula::exists(f->var(), body.value())
                    : Formula::forall(f->var(), body.value());

@@ -88,7 +88,8 @@ class Database : public PredicateOracle {
   }
 
   /// Expands active-domain quantifiers into finite conjunctions /
-  /// disjunctions over active_domain().
+  /// disjunctions over active_domain(). A subtree without one comes back
+  /// as the same node, so a formula with none is returned as is.
   Result<FormulaPtr> expand_active_domain(const FormulaPtr& f) const;
 
  private:

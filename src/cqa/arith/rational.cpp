@@ -371,16 +371,6 @@ Rational Rational::simplest_in_open(const Rational& lo, const Rational& hi) {
   return Rational(a) + simplest_in_open(fh.inverse(), fl.inverse()).inverse();
 }
 
-const Rational& Rational::zero() {
-  static const Rational kZero;
-  return kZero;
-}
-
-const Rational& Rational::one() {
-  static const Rational kOne(1);
-  return kOne;
-}
-
 std::string Rational::to_string() const {
   if (is_integer()) return num_.to_string();
   return num_.to_string() + "/" + den_.to_string();

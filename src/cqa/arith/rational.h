@@ -105,9 +105,6 @@ class Rational {
   /// As simplest_in, but over the open interval (lo, hi). Requires lo < hi.
   static Rational simplest_in_open(const Rational& lo, const Rational& hi);
 
-  static const Rational& zero();
-  static const Rational& one();
-
   /// "p" if integer else "p/q".
   std::string to_string() const;
   /// Nearest double.

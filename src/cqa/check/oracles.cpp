@@ -3,12 +3,16 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cqa/approx/random.h"
+#include "cqa/guard/fault.h"
 #include "cqa/logic/decide.h"
 #include "cqa/logic/eval.h"
 #include "cqa/logic/transform.h"
 #include "cqa/runtime/parallel_sampler.h"
+#include "cqa/serve/scheduler.h"
 
 namespace cqa {
 
@@ -324,6 +328,101 @@ class CacheHotVsColdOracle : public Oracle {
   }
 };
 
+// One request, one answer: run() and submit() give the same requests --
+// the boxed volume forced exact, and three forced-MC seeds -- the same
+// answer field for field, guard report included, when run one at a time
+// and when queued together so the MC seeds run as one scheduler group.
+// Each side runs on a fresh session, so neither reads the other's
+// caches.
+class RunVsSubmitOracle : public Oracle {
+ public:
+  const char* name() const override { return "run_vs_submit"; }
+  GenOptions tune(GenOptions base) const override {
+    // A quantified query's QE rewrite is computed once per session and
+    // charged to the meter of whichever request computes it, so guard
+    // usage of the others would depend on execution order.
+    base.quantifiers = 0;
+    return base;
+  }
+
+  TrialResult check(const CheckContext& ctx, const GeneratedFormula& g,
+                    std::uint64_t trial_seed,
+                    bool inject_fault) const override {
+    std::vector<Request> requests;
+    requests.push_back(volume_request(g, ctx, trial_seed));
+    requests.back().strategy = VolumeStrategy::kExactSweep;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      requests.push_back(volume_request(g, ctx, trial_seed + k));
+      requests.back().strategy = VolumeStrategy::kMonteCarlo;
+    }
+    guard::FaultInjector* injector = guard::current_fault_injector();
+    const std::uint64_t fired_before =
+        injector != nullptr ? injector->fired_total() : 0;
+
+    std::vector<std::string> run_side;
+    {
+      ConstraintDatabase db;
+      register_generator_vars(&db.vars(), g.dimension);
+      Session session(&db, SessionOptions{.threads = 2});
+      for (const Request& r : requests) {
+        run_side.push_back(describe(session.run(r)));
+      }
+    }
+    std::vector<std::string> submit_side;
+    {
+      ConstraintDatabase db;
+      register_generator_vars(&db.vars(), g.dimension);
+      Session session(&db, SessionOptions{.threads = 2});
+      session.scheduler().pause();
+      std::vector<serve::Ticket> tickets;
+      for (const Request& r : requests) tickets.push_back(session.submit(r));
+      session.scheduler().resume();
+      for (serve::Ticket& t : tickets) {
+        Result<Answer> a = t.wait();
+        VolumeAnswer* v = a.is_ok() ? &a.value().volume : nullptr;
+        if (inject_fault && v != nullptr && !v->exact && v->estimate) {
+          // One phantom hit in the first MC member's sample.
+          *v->estimate += 1.0 / static_cast<double>(v->points_requested);
+          inject_fault = false;
+        }
+        submit_side.push_back(describe(a));
+      }
+    }
+
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (run_side[i] == submit_side[i]) continue;
+      const std::string why = "request " + std::to_string(i) + " (seed " +
+                              std::to_string(requests[i].seed) +
+                              "): run " + run_side[i] + " / submit " +
+                              submit_side[i];
+      // Under injected faults each side draws its own, so a fault that
+      // fired on one side's request explains a differing answer.
+      if (injector != nullptr && injector->fired_total() != fired_before) {
+        return TrialResult::skip("fault fired: " + why);
+      }
+      return TrialResult::fail(why);
+    }
+    return TrialResult::pass();
+  }
+
+ private:
+  // Every answer field the two entry points must agree on.
+  static std::string describe(const Result<Answer>& r) {
+    if (!r.is_ok()) return r.status().to_string();
+    const Answer& a = r.value();
+    const VolumeAnswer& v = a.volume;
+    std::ostringstream out;
+    out.precision(17);
+    out << "status=" << static_cast<int>(a.status)
+        << " exact=" << (v.exact ? rat(*v.exact) : "-")
+        << " estimate=" << v.estimate.value_or(-1.0)
+        << " bars=[" << v.lower.value_or(-1.0) << ", "
+        << v.upper.value_or(-1.0) << "] points=" << v.points_evaluated
+        << "/" << v.points_requested << " " << a.guard.to_string();
+    return out.str();
+  }
+};
+
 // ---------------------------------------------------------------------
 // Metamorphic oracles (exact rational laws; any violation is a bug)
 // ---------------------------------------------------------------------
@@ -525,15 +624,16 @@ const std::vector<const Oracle*>& all_oracles() {
   static const QeMembershipOracle qe_membership;
   static const SerialVsParallelOracle serial_vs_parallel;
   static const CacheHotVsColdOracle cache;
+  static const RunVsSubmitOracle run_vs_submit;
   static const TranslationInvarianceOracle translation;
   static const UnionAdditivityOracle additivity;
   static const ConjunctionMonotonicityOracle monotonicity;
   static const ScalingOracle scaling;
   static const ComplementOracle complement;
   static const std::vector<const Oracle*> kAll = {
-      &exact_vs_mc,  &exact_vs_har, &qe_membership, &serial_vs_parallel,
-      &cache,        &translation,  &additivity,    &monotonicity,
-      &scaling,      &complement,
+      &exact_vs_mc,   &exact_vs_har,  &qe_membership, &serial_vs_parallel,
+      &cache,         &run_vs_submit, &translation,   &additivity,
+      &monotonicity,  &scaling,       &complement,
   };
   return kAll;
 }

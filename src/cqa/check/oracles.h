@@ -3,7 +3,8 @@
 // Differential oracles compare independent computation paths on the
 // same formula (Section 2's semantics-preserving QE, Theorem 3's exact
 // sweep, Theorem 4's Monte-Carlo bars, the DFK hit-and-run estimator,
-// the serial vs pooled sampler, cache-hot vs cache-cold answers).
+// the serial vs pooled sampler, cache-hot vs cache-cold answers, and
+// the same requests through Session::run vs Session::submit).
 // Metamorphic oracles check volume laws that must hold for *any*
 // correct engine: translation invariance, additivity over disjoint
 // splits, monotonicity under conjunction, scaling vol(cA) = c^k vol(A),

@@ -1,7 +1,6 @@
 #include "cqa/linalg/matrix.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace cqa {
 
@@ -53,18 +52,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m.at(i, i) = Rational(1);
   return m;
-}
-
-RVec Matrix::row(std::size_t r) const {
-  RVec out(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = at(r, c);
-  return out;
-}
-
-RVec Matrix::col(std::size_t c) const {
-  RVec out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = at(r, c);
-  return out;
 }
 
 Matrix Matrix::transpose() const {
@@ -214,19 +201,6 @@ std::vector<RVec> Matrix::nullspace() const {
     basis.push_back(std::move(v));
   }
   return basis;
-}
-
-std::string Matrix::to_string() const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << "[";
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c) os << ", ";
-      os << at(r, c).to_string();
-    }
-    os << "]\n";
-  }
-  return os.str();
 }
 
 std::optional<RVec> solve_square(const Matrix& a, const RVec& b) {

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "cqa/arith/rational.h"
@@ -52,9 +51,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  RVec row(std::size_t r) const;
-  RVec col(std::size_t c) const;
-
   Matrix transpose() const;
   Matrix operator*(const Matrix& o) const;
   RVec apply(const RVec& v) const;
@@ -68,8 +64,6 @@ class Matrix {
 
   /// Basis of the (right) nullspace, one RVec per basis vector.
   std::vector<RVec> nullspace() const;
-
-  std::string to_string() const;
 
  private:
   std::size_t rows_, cols_;

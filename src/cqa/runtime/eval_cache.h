@@ -203,8 +203,7 @@ const CancelToken* current_serve_token();
 
 /// RAII binding of a request's token to the calling serve thread;
 /// nests (restores the previous binding on destruction). Installed by
-/// serve::Scheduler around each job execution and by the fused-MC path
-/// around each member's share of the batch's common work.
+/// serve::Scheduler around each job execution.
 class ServeTokenScope {
  public:
   explicit ServeTokenScope(const CancelToken* token);

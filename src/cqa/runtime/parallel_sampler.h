@@ -44,16 +44,6 @@ struct McPartial {
   bool complete = false;      // evaluated == requested
 };
 
-class ParallelSampler;
-
-/// One member of a fused batch estimation: a sampler plus the cancel
-/// token of the request it serves (tokens stay per-request so one
-/// caller's deadline never cancels another's chunks).
-struct McBatchItem {
-  const ParallelSampler* sampler = nullptr;
-  const CancelToken* cancel = nullptr;
-};
-
 class ParallelSampler {
  public:
   /// Points per chunk unless the caller picks another; part of the
@@ -91,17 +81,6 @@ class ParallelSampler {
       const std::map<std::size_t, Rational>& params, ThreadPool* pool,
       const CancelToken* cancel) const;
 
-  /// Fuses the chunk grids of several samplers into ONE parallel_for so
-  /// a batch of compatible Monte-Carlo requests shares pool scheduling
-  /// instead of running back to back. Each item's chunks use its own
-  /// (seed, sample_size, chunk_size) stream and its own cancel token,
-  /// so results[i] is bitwise identical to items[i].sampler->
-  /// estimate_partial(params, pool, items[i].cancel) run solo. Errors
-  /// are per-item: one bad formula fails its own slot only.
-  static std::vector<Result<McPartial>> estimate_partial_batch(
-      const std::vector<McBatchItem>& items,
-      const std::map<std::size_t, Rational>& params, ThreadPool* pool);
-
   std::size_t sample_size() const { return sample_size_; }
   std::size_t chunk_size() const { return chunk_size_; }
   std::size_t num_chunks() const {
@@ -124,16 +103,6 @@ class ParallelSampler {
     char done = 0;
   };
 
-  // One chunk of this sampler's grid: streams its draws through the
-  // compiled kernel and fills its slot. Shared by the solo and batch
-  // paths so their per-chunk behaviour is the same code.
-  void eval_chunk_into(std::size_t c,
-                       const CompiledMembership::Binding& binding,
-                       const CancelToken* cancel, ChunkSlot* slot,
-                       Status* err_out) const;
-  // Chunk-order reduction of one grid's outputs into a McPartial.
-  Result<McPartial> reduce_partial(const std::vector<ChunkSlot>& slots,
-                                   const std::vector<Status>& errors) const;
   // Chunks-per-task floor implied by kMinPointsPerTask at this sampler's
   // chunk size.
   std::size_t min_chunks_per_task() const {

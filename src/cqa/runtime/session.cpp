@@ -44,10 +44,10 @@ Answer pinned_answer(VolumeAnswer v) {
   return a;
 }
 
-// The one McPartial -> VolumeAnswer assembly, for solo and batched runs
-// alike: complete -> +-target_epsilon bars; partial -> the Hoeffding
-// half-width the completed chunks support, degraded; nothing completed
-// -> trivial 1/2. points_requested is the full sample size M throughout.
+// The one McPartial -> VolumeAnswer assembly: complete -> +-target_epsilon
+// bars; partial -> the Hoeffding half-width the completed chunks
+// support, degraded; nothing completed -> trivial 1/2. points_requested
+// is the full sample size M throughout.
 VolumeAnswer mc_volume_answer(const McPartial& p, double target_epsilon,
                               double delta) {
   VolumeAnswer v;
@@ -162,17 +162,13 @@ Result<Answer> Session::run(const Request& request) {
     }
   }();
 
-  finish(&result, meter, start);
-  return result;
-}
-
-void Session::finish(Result<Answer>* result, const guard::WorkMeter& meter,
-                     std::chrono::steady_clock::time_point start) {
-  if (!result->is_ok()) {
+  if (!result.is_ok()) {
     record_guard(guard::make_report(meter));
-    return;
+    return result;
   }
-  Answer& answer = result->value();
+  // Stamp the answer with its meter's guard report (keeping the rung it
+  // carries) and its elapsed time, and record both.
+  Answer& answer = result.value();
   if (answer.degraded()) planner_degraded_total_->inc();
   const guard::Rung rung = answer.guard.rung;
   answer.guard = guard::make_report(meter);
@@ -181,6 +177,7 @@ void Session::finish(Result<Answer>* result, const guard::WorkMeter& meter,
                           std::chrono::steady_clock::now() - start)
                           .count();
   record_guard(answer.guard);
+  return result;
 }
 
 Result<Answer> Session::run_impl(const Request& request,
@@ -447,126 +444,6 @@ Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
   if (!est.is_ok()) return est.status();
   mc_points_evaluated_total_->inc(est.value().evaluated);
   return mc_volume_answer(est.value(), target_epsilon, request.budget.delta);
-}
-
-std::vector<Result<Answer>> Session::run_mc_batch(
-    const std::vector<const Request*>& requests,
-    const std::vector<CancelToken*>& tokens) {
-  const std::size_t n = requests.size();
-  std::vector<Result<Answer>> results(
-      n, Status::internal("batch slot not filled"));
-  if (n == 0) return results;
-  const auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(volume_call_ns_);
-  volume_calls_total_->inc(n);
-
-  // One meter per member: each request's own budget.quota governs the
-  // work attributed to it, and each answer's guard report comes from
-  // its own meter -- the same accounting run() gives a solo request.
-  std::vector<std::unique_ptr<guard::WorkMeter>> meters;
-  meters.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    meters.push_back(
-        std::make_unique<guard::WorkMeter>(requests[i]->budget.quota));
-  }
-
-  // resolve() is the single exit for a slot: it finishes the member's
-  // answer from its own meter, like run() does, and never overwrites a
-  // resolved slot.
-  std::vector<bool> resolved(n, false);
-  auto resolve = [&](std::size_t i, Result<Answer> r) {
-    if (resolved[i]) return;
-    resolved[i] = true;
-    finish(&r, *meters[i], start);
-    results[i] = std::move(r);
-  };
-  auto fail_rest = [&](const Status& s) {
-    for (std::size_t i = 0; i < n; ++i) resolve(i, s);
-    return results;
-  };
-
-  // The same handler boundary run() has around run_impl: an allocation
-  // failure (real, or the injected FaultSite::kBigIntAlloc) anywhere in
-  // the shared work must not escape onto the executor thread -- volume
-  // requests still own the last rung; anything else is kInternal.
-  try {
-    // All members share (query, output_vars), so the parse, membership
-    // and variable validation happen once. The shared membership
-    // rewrite runs under one member's token and meter at a time: a
-    // degradable failure (that member's deadline, cancellation, or
-    // quota) degrades *that member only* to trivial-1/2, and the next
-    // still-live member retries -- cancelling request X never degrades
-    // request Y. A structural error fails every member the same way a
-    // solo run would have.
-    const Request& head = *requests[0];
-    auto query = queries().parse(head.query);
-    if (!query.is_ok()) return fail_rest(query.status());
-    Result<FormulaPtr> membership{Status::internal("no live member")};
-    bool have_membership = false;
-    for (std::size_t i = 0; i < n && !have_membership; ++i) {
-      guard::MeterScope meter_scope(meters[i].get());
-      ServeTokenScope token_scope(tokens[i]);
-      membership =
-          queries().rewrite(query.value(), {tokens[i], meters[i].get()});
-      if (membership.is_ok()) {
-        have_membership = true;
-      } else if (is_degradable(membership.status())) {
-        resolve(i, pinned_answer(mc_unstarted_volume(*requests[i])));
-      } else {
-        return fail_rest(membership.status());
-      }
-    }
-    if (!have_membership) return results;  // every member degraded
-
-    auto element_vars =
-        resolve_element_vars(*db_, query.value().formula(), head.output_vars);
-    if (!element_vars.is_ok()) return fail_rest(element_vars.status());
-
-    // One sampler per still-live member: its own Blumer-sized sample
-    // from its own (epsilon, delta, vc_dim, seed), capped by its own
-    // max_mc_samples -- the identical construction pooled_monte_carlo
-    // would use solo.
-    std::vector<std::size_t> live;
-    std::vector<std::unique_ptr<ParallelSampler>> samplers;
-    std::vector<McBatchItem> items;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (resolved[i]) continue;
-      const Request& r = *requests[i];
-      samplers.push_back(std::make_unique<ParallelSampler>(
-          &db_->db(), membership.value(), element_vars.value(),
-          mc_sample_size(r), r.seed, options_.mc_chunk_size,
-          meters[i].get()));
-      items.push_back(McBatchItem{samplers.back().get(), tokens[i]});
-      live.push_back(i);
-    }
-
-    std::vector<Result<McPartial>> parts =
-        ParallelSampler::estimate_partial_batch(items, {}, &pool_);
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const std::size_t i = live[k];
-      const Result<McPartial>& part = parts[k];
-      if (part.is_ok()) {
-        mc_points_evaluated_total_->inc(part.value().evaluated);
-        resolve(i, pinned_answer(mc_volume_answer(
-                       part.value(), requests[i]->budget.epsilon,
-                       requests[i]->budget.delta)));
-      } else if (is_degradable(part.status())) {
-        // A member whose own quota tripped (e.g. during its sampler's
-        // plan compilation) degrades to trivial-1/2 like a solo run;
-        // structural errors still fail that slot.
-        resolve(i, degraded_half_answer());
-      } else {
-        resolve(i, part.status());
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    for (std::size_t i = 0; i < n; ++i) resolve(i, degraded_half_answer());
-  } catch (const std::exception& e) {
-    const Status s = Status::internal(
-        std::string("query evaluation threw: ") + e.what());
-    for (std::size_t i = 0; i < n; ++i) resolve(i, s);
-  }
-  return results;
 }
 
 void Session::record_plan(const PlanDecision& decision) {

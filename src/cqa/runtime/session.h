@@ -32,8 +32,10 @@
 //
 // submit() hands the request to the serve::Scheduler (created lazily on
 // first use): bounded per-priority lanes, in-flight duplicate
-// coalescing, fused Monte-Carlo batching, and load shedding down the
-// degradation ladder. See serve/scheduler.h.
+// coalescing, concurrent runs of queued same-query Monte-Carlo
+// requests, and load shedding down the degradation ladder. Every
+// request the scheduler executes goes through run(). See
+// serve/scheduler.h.
 //
 // The per-operation shims (rewrite / cells / ask / volume / mu /
 // growth_polynomial / aggregate) that bridged the pre-run() API were
@@ -47,12 +49,10 @@
 #ifndef CQA_RUNTIME_SESSION_H_
 #define CQA_RUNTIME_SESSION_H_
 
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cqa/core/aggregation_engine.h"
 #include "cqa/core/query_engine.h"
@@ -94,8 +94,8 @@ class Session {
 
   /// The asynchronous API: validates, enqueues with the scheduler, and
   /// returns immediately. Ticket::wait()/try_get() resolve to what
-  /// run() would have produced -- plus the serving layer's coalescing,
-  /// batching, and admission control.
+  /// run() would have produced -- plus the serving layer's coalescing
+  /// and admission control.
   serve::Ticket submit(Request request);
 
   /// The scheduler behind submit(), created lazily on first use.
@@ -162,18 +162,6 @@ class Session {
                                           double target_epsilon,
                                           CancelToken* token,
                                           guard::WorkMeter* meter);
-  /// Serve-layer entry point: executes a batch of compatible
-  /// forced-Monte-Carlo volume requests (same query and output_vars,
-  /// arbitrary seeds/budgets) through ONE fused pool dispatch. Answer i
-  /// is bitwise identical to run() on requests[i] alone.
-  std::vector<Result<Answer>> run_mc_batch(
-      const std::vector<const Request*>& requests,
-      const std::vector<CancelToken*>& tokens);
-  // Stamps a finished request's answer with the guard report of its
-  // meter (keeping the rung it carries) and its elapsed time, and
-  // records both in the metrics.
-  void finish(Result<Answer>* result, const guard::WorkMeter& meter,
-              std::chrono::steady_clock::time_point start);
   void record_plan(const PlanDecision& decision);
   void record_guard(const guard::GuardReport& report);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -18,7 +19,7 @@ namespace {
 // A queued request this close to its deadline dispatches next,
 // whatever its lane.
 constexpr auto kPromoteWithin = std::chrono::milliseconds(5);
-// Forced-MC requests fused into one batch at most.
+// Forced-MC requests run as one group at most.
 constexpr std::size_t kMaxMcBatch = 8;
 
 std::size_t lane_of(const Request& request) {
@@ -246,7 +247,7 @@ Scheduler::Job Scheduler::pop_head() {
 // Pulls everything that can ride with `head` out of the lanes: exact
 // duplicates of any group member become followers of that member, and
 // (for a forced-Monte-Carlo head) compatible MC requests become
-// additional batch members up to kMaxMcBatch.
+// additional group members up to kMaxMcBatch.
 std::vector<Scheduler::Exec> Scheduler::collect_group(Job head) {
   std::vector<Exec> group;
   std::unordered_map<std::string, std::size_t> by_fp;
@@ -310,7 +311,7 @@ Result<Answer> Scheduler::run_job(Job& job) {
   Request request = std::move(job.request);
   if (request.cancel == nullptr) request.cancel = &job.state->cancel;
   // Bind the token for FlightTable followers: if this request blocks
-  // behind another executor's in-flight computation, its own cancel /
+  // behind another request's in-flight computation, its own cancel /
   // deadline can still wake it.
   ServeTokenScope token_scope(request.cancel);
   return session_->run(request);
@@ -330,54 +331,26 @@ void Scheduler::execute(std::vector<Exec> group) {
     for (const Job& d : e.duplicates) observe_wait(d);
   }
 
-  // Single-flight participation for everything this executor runs: a
-  // leader that errors out has its flights abandoned on scope exit.
-  ServeFlightScope flight_scope(&session_->cache());
-
-  if (group.size() == 1) {
-    Exec& e = group[0];
-    Result<Answer> r = run_job(e.job);
-    for (const Job& d : e.duplicates) publish(d.state, r);
-    publish(e.job.state, std::move(r));
-    return;
-  }
-
-  // Fused MC batch. Members cancelled while queued drop out first.
-  std::vector<Exec> live;
-  live.reserve(group.size());
-  for (Exec& e : group) {
-    if (e.job.state->cancel_requested.load(std::memory_order_acquire)) {
-      Result<Answer> r{Status::cancelled("request cancelled before execution")};
-      for (const Job& d : e.duplicates) publish(d.state, r);
-      publish(e.job.state, std::move(r));
-    } else {
-      live.push_back(std::move(e));
-    }
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    Exec& e = live[0];
-    Result<Answer> r = run_job(e.job);
-    for (const Job& d : e.duplicates) publish(d.state, r);
-    publish(e.job.state, std::move(r));
-    return;
-  }
-
-  std::vector<const Request*> requests;
-  std::vector<CancelToken*> tokens;
-  requests.reserve(live.size());
-  tokens.reserve(live.size());
-  for (Exec& e : live) {
-    requests.push_back(&e.job.request);
-    tokens.push_back(e.job.request.cancel != nullptr
-                         ? e.job.request.cancel
-                         : &e.job.state->cancel);
-  }
-  std::vector<Result<Answer>> results =
-      session_->run_mc_batch(requests, tokens);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (const Job& d : live[i].duplicates) publish(d.state, results[i]);
-    publish(live[i].job.state, std::move(results[i]));
+  // Every member runs through Session::run -- a lone request is a group
+  // of one. The members of a forced-MC group run side by side on the
+  // pool: one served-size sample spans only a couple of pool tasks
+  // (ParallelSampler::kMinPointsPerTask), so running the members at
+  // once is what spreads a burst across the workers. Answers publish
+  // from this executor once the group is done, so Ticket::then
+  // callbacks (which may block on I/O) never hold a pool thread.
+  std::vector<std::optional<Result<Answer>>> results(group.size());
+  session_->pool().parallel_for(
+      0, group.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          // Single-flight participation for this member: a leader that
+          // errors out has its flights abandoned on scope exit.
+          ServeFlightScope flight_scope(&session_->cache());
+          results[i] = run_job(group[i].job);
+        }
+      });
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    for (const Job& d : group[i].duplicates) publish(d.state, *results[i]);
+    publish(group[i].job.state, std::move(*results[i]));
   }
 }
 

@@ -13,11 +13,14 @@
 //     *overlapping* requests that share a rewrite or exact-volume cache
 //     key single-flight through the EvalCache FlightTable as well.
 //     Both paths count into serve_coalesced_total.
-//   - MC batching: queued volume requests that force kMonteCarlo on the
-//     same (query, output_vars) are fused, up to 8 at a time, into one
-//     pooled estimate_partial_batch call. Each keeps its own seed stream
-//     and cancel token, so every answer is bitwise identical to a solo
-//     run.
+//   - MC grouping: queued volume requests that force kMonteCarlo on the
+//     same (query, output_vars) are dequeued together, up to 8 at a
+//     time, and run concurrently on the session's pool. Each member goes
+//     through Session::run with its own seed, token and meter: grouping
+//     changes when members run, not what they compute. Members share
+//     the rewrite as requests on different executors do: one computes
+//     it, the others join its flight (counted as coalesced) or read it
+//     from the cache.
 //   - Admission control: the queue is bounded. Over capacity, volume
 //     requests are shed to the last degradation rung (trivial 1/2 with
 //     honest [0, 1] bars, guard.shed = true) instead of being rejected;
@@ -114,6 +117,9 @@ class Scheduler {
   std::vector<Exec> collect_group(Job head);
   bool lanes_empty() const;
 
+  // Runs every member of `group` through run_job, concurrently on the
+  // pool, then publishes each answer to its ticket and duplicates from
+  // the executor thread.
   void execute(std::vector<Exec> group);
   Result<Answer> run_job(Job& job);
   void publish(const std::shared_ptr<TicketState>& state,

@@ -14,7 +14,7 @@
 // routed by a hash of its kind, query, output variables and bindings,
 // so duplicates coalesce on one worker *across* client connections, and
 // variants that differ only in epsilon, deadline, quota or seed meet
-// that worker's exact-volume cache and Monte-Carlo batching. The disk
+// that worker's exact-volume cache and Monte-Carlo grouping. The disk
 // cache keys on the full serve::request_fingerprint.
 //
 // The shed-to-certified-trivial-1/2 ladder holds end-to-end:

@@ -148,9 +148,4 @@ class Result {
     if (!_st.is_ok()) return _st;                  \
   } while (0)
 
-#define CQA_ASSIGN_OR_RETURN(lhs, rexpr)           \
-  auto _res_##__LINE__ = (rexpr);                  \
-  if (!_res_##__LINE__.is_ok()) return _res_##__LINE__.status(); \
-  lhs = std::move(_res_##__LINE__).take();
-
 #endif  // CQA_UTIL_STATUS_H_

@@ -99,6 +99,30 @@ TEST(Database, ActiveDomainQuantifiers) {
   EXPECT_FALSE(db.holds(g, {}).value_or_die());
 }
 
+TEST(Database, ExpandActiveDomainKeepsAFormulaWithoutOne) {
+  Database db;
+  ASSERT_TRUE(db.add_finite("U", 1, {pt({1}), pt({2})}).is_ok());
+  VarTable vars;
+  auto f = parse_formula("0 <= x & x <= 1 & 0 <= y & y <= x", &vars)
+               .value_or_die();
+  EXPECT_EQ(db.expand_active_domain(f).value_or_die().get(), f.get());
+  // A plain quantifier over an unchanged body is kept as well.
+  auto q = parse_formula("E u. 0 <= u & u <= x", &vars).value_or_die();
+  EXPECT_EQ(db.expand_active_domain(q).value_or_die().get(), q.get());
+  // Beside an active-domain quantifier the spine is rebuilt, and the
+  // untouched sibling subtree is shared rather than copied.
+  auto sibling = parse_formula("x <= 1/2 | y <= 1/2", &vars).value_or_die();
+  FormulaPtr adom = Formula::exists(
+      0, Formula::predicate("U", {Polynomial::variable(0)}),
+      /*active_domain=*/true);
+  FormulaPtr g = Formula::f_and(adom, sibling);
+  auto expanded = db.expand_active_domain(g).value_or_die();
+  EXPECT_NE(expanded.get(), g.get());
+  ASSERT_EQ(expanded->kind(), Formula::Kind::kAnd);
+  ASSERT_EQ(expanded->children().size(), 2u);
+  EXPECT_EQ(expanded->children()[1].get(), sibling.get());
+}
+
 TEST(Database, HoldsSeesRelationsAddedAfterFirstCall) {
   // holds() keeps nothing between calls: an active-domain quantifier
   // decided once is decided again against the database as it is now.

@@ -159,30 +159,6 @@ TEST(RuntimeScaling, PartialChunksAreWholeMultiples) {
   }
 }
 
-TEST(RuntimeScaling, BatchMatchesSoloRuns) {
-  // The fused batch path must reproduce each member's solo estimate
-  // bit for bit, including members with distinct seeds and chunk sizes.
-  Database db;
-  VarTable vars;
-  auto phi = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
-  ParallelSampler s1(&db, phi, {0, 1}, 20000, 42, 256);
-  ParallelSampler s2(&db, phi, {0, 1}, 9000, 7, 64);
-  ParallelSampler s3(&db, phi, {0, 1}, 0, 1);
-  ThreadPool pool(4);
-  std::vector<McBatchItem> items{{&s1, nullptr}, {&s2, nullptr},
-                                 {&s3, nullptr}};
-  auto batch = ParallelSampler::estimate_partial_batch(items, {}, &pool);
-  ASSERT_EQ(batch.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const ParallelSampler* s = items[i].sampler;
-    auto solo = s->estimate_partial({}, &pool, nullptr).value_or_die();
-    ASSERT_TRUE(batch[i].is_ok()) << batch[i].status().to_string();
-    EXPECT_EQ(batch[i].value().hits, solo.hits) << "item " << i;
-    EXPECT_EQ(batch[i].value().evaluated, solo.evaluated);
-    EXPECT_TRUE(bits_equal(batch[i].value().estimate, solo.estimate));
-  }
-}
-
 TEST(RuntimeScaling, MonotonicitySmoke) {
   // Wall-clock sanity, not a benchmark: 8 pooled threads should beat
   // 0.7x the serial wall on a 1M-point workload. Only meaningful with

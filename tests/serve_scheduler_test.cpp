@@ -1,7 +1,8 @@
 // serve::Scheduler functional coverage: tickets resolve to what run()
 // produces, queued duplicates coalesce into one computation, compatible
-// Monte-Carlo requests batch without changing their answers, admission
-// control sheds honestly, and deadlines are armed at submit time.
+// Monte-Carlo requests run as one group without changing their answers,
+// admission control sheds honestly, and deadlines are armed at submit
+// time.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,8 @@ namespace {
 constexpr const char* kTriangle = "x >= 0 & y >= 0 & x + y <= 1";
 constexpr const char* kDisk = "x^2 + y^2 <= 9/10 & 0 <= x & 0 <= y";
 // Quantified FO+LIN whose membership formula requires a QE rewrite (it
-// denotes the same triangle), so the fused-MC shared work is nontrivial.
+// denotes the same triangle), so every MC group member's rewrite is
+// nontrivial.
 constexpr const char* kQuantifiedTriangle =
     "E u. 0 <= u & u <= 1 & x + y <= u & x >= 0 & y >= 0";
 
@@ -104,17 +106,19 @@ TEST(ServeScheduler, CallerCancelTokenDisablesCoalescing) {
   EXPECT_EQ(session.metrics().counter_value("volume_calls_total"), 2u);
 }
 
-TEST(ServeScheduler, McBatchAnswersAreBitIdenticalToSoloRuns) {
-  auto solo = [](std::uint64_t seed) {
-    ConstraintDatabase db;
-    Session session(&db, SessionOptions{.threads = 2});
-    auto a = session.run(Request::volume(kDisk)
-                             .vars({"x", "y"})
-                             .strategy(VolumeStrategy::kMonteCarlo)
-                             .epsilon(0.05)
-                             .vc_dim(3.0)
-                             .seed(seed));
-    return *a.value_or_die().volume.estimate;
+TEST(ServeScheduler, QueuedMcGroupAnswersEqualRunIncludingGuard) {
+  // Four distinct-seed forced-MC requests queued together run as one
+  // group; each ticket must carry exactly what run() gives the same
+  // request on a fresh session -- the estimate bit for bit, the bars,
+  // the point counts, the rung and the whole guard report.
+  auto mc = [](std::uint64_t seed) {
+    return Request::volume("(x - 1/2)^2 + (y - 1/2)^2 <= 1/5")
+        .vars({"x", "y"})
+        .strategy(VolumeStrategy::kMonteCarlo)
+        .epsilon(0.02)
+        .vc_dim(3.0)
+        .seed(seed)
+        .build();
   };
 
   ConstraintDatabase db;
@@ -123,22 +127,29 @@ TEST(ServeScheduler, McBatchAnswersAreBitIdenticalToSoloRuns) {
   sched.pause();
   const std::vector<std::uint64_t> seeds = {7, 11, 13, 17};
   std::vector<serve::Ticket> tickets;
-  for (std::uint64_t s : seeds) {
-    tickets.push_back(session.submit(Request::volume(kDisk)
-                                         .vars({"x", "y"})
-                                         .strategy(VolumeStrategy::kMonteCarlo)
-                                         .epsilon(0.05)
-                                         .vc_dim(3.0)
-                                         .seed(s)));
-  }
+  for (std::uint64_t s : seeds) tickets.push_back(session.submit(mc(s)));
   sched.resume();
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    auto a = tickets[i].wait();
-    ASSERT_TRUE(a.is_ok()) << a.status().to_string();
-    EXPECT_EQ(*a.value().volume.estimate, solo(seeds[i]))
+    auto queued = tickets[i].wait();
+    ASSERT_TRUE(queued.is_ok()) << queued.status().to_string();
+    ConstraintDatabase solo_db;
+    Session solo_session(&solo_db, serve_opts());
+    auto solo = solo_session.run(mc(seeds[i]));
+    ASSERT_TRUE(solo.is_ok()) << solo.status().to_string();
+    const Answer& q = queued.value();
+    const Answer& s = solo.value();
+    ASSERT_TRUE(q.volume.estimate.has_value());
+    EXPECT_EQ(q.volume.estimate, s.volume.estimate) << "seed " << seeds[i];
+    EXPECT_EQ(q.volume.lower, s.volume.lower) << "seed " << seeds[i];
+    EXPECT_EQ(q.volume.upper, s.volume.upper) << "seed " << seeds[i];
+    EXPECT_EQ(q.volume.points_evaluated, s.volume.points_evaluated);
+    EXPECT_EQ(q.volume.points_requested, s.volume.points_requested);
+    EXPECT_EQ(q.status, s.status) << "seed " << seeds[i];
+    EXPECT_EQ(q.guard.rung, s.guard.rung) << "seed " << seeds[i];
+    EXPECT_EQ(q.guard.to_string(), s.guard.to_string())
         << "seed " << seeds[i];
   }
-  // The four distinct-seed requests fused into one pool dispatch.
+  // The four requests were dequeued as one group.
   EXPECT_GE(session.metrics().counter_value("serve_mc_batched_total"),
             static_cast<std::uint64_t>(seeds.size() - 1));
 }
@@ -147,7 +158,6 @@ TEST(ServeScheduler, McBatchCoalescesExactDuplicatesWithinTheBatch) {
   ConstraintDatabase db;
   Session session(&db, serve_opts());
   serve::Scheduler& sched = session.scheduler();
-  sched.pause();
   auto mc = [&](std::uint64_t seed) {
     return Request::volume(kDisk)
         .vars({"x", "y"})
@@ -157,19 +167,42 @@ TEST(ServeScheduler, McBatchCoalescesExactDuplicatesWithinTheBatch) {
         .seed(seed)
         .build();
   };
-  serve::Ticket a = session.submit(mc(7));
-  serve::Ticket b = session.submit(mc(9));
-  serve::Ticket dup = session.submit(mc(9));  // duplicate of b
-  sched.resume();
-  auto ra = a.wait();
-  auto rb = b.wait();
-  auto rdup = dup.wait();
-  ASSERT_TRUE(ra.is_ok());
-  ASSERT_TRUE(rb.is_ok());
-  ASSERT_TRUE(rdup.is_ok());
-  EXPECT_NE(*ra.value().volume.estimate, *rb.value().volume.estimate);
-  EXPECT_EQ(*rb.value().volume.estimate, *rdup.value().volume.estimate);
-  EXPECT_EQ(session.metrics().counter_value("serve_coalesced_total"), 1u);
+  // Queues members a and b plus a duplicate of b, runs them as one
+  // group, and returns how much serve_coalesced_total grew.
+  auto round = [&](std::uint64_t seed_a, std::uint64_t seed_b) {
+    const std::uint64_t calls_before =
+        session.metrics().counter_value("volume_calls_total");
+    const std::uint64_t coalesced_before =
+        session.metrics().counter_value("serve_coalesced_total");
+    sched.pause();
+    serve::Ticket a = session.submit(mc(seed_a));
+    serve::Ticket b = session.submit(mc(seed_b));
+    serve::Ticket dup = session.submit(mc(seed_b));  // duplicate of b
+    sched.resume();
+    auto ra = a.wait();
+    auto rb = b.wait();
+    auto rdup = dup.wait();
+    EXPECT_TRUE(ra.is_ok() && rb.is_ok() && rdup.is_ok());
+    if (ra.is_ok() && rb.is_ok() && rdup.is_ok()) {
+      EXPECT_NE(*ra.value().volume.estimate, *rb.value().volume.estimate);
+      EXPECT_EQ(*rb.value().volume.estimate, *rdup.value().volume.estimate);
+    }
+    // The duplicate rode along with b and never ran.
+    EXPECT_EQ(session.metrics().counter_value("volume_calls_total") -
+                  calls_before,
+              2u);
+    return session.metrics().counter_value("serve_coalesced_total") -
+           coalesced_before;
+  };
+  // Cold cache: a and b run concurrently, so besides the queued
+  // duplicate one of them may join the other's in-flight rewrite, which
+  // counts into serve_coalesced_total too.
+  const std::uint64_t cold = round(7, 9);
+  EXPECT_GE(cold, 1u);
+  EXPECT_LE(cold, 2u);
+  // Warm cache: both members read the rewrite, so the queued duplicate
+  // is the only coalesced computation.
+  EXPECT_EQ(round(11, 13), 1u);
 }
 
 TEST(ServeScheduler, OverCapacityShedsVolumeToTrivialHalf) {
@@ -329,9 +362,9 @@ TEST(ServeScheduler, FingerprintFieldInjectionDoesNotCoalesce) {
 }
 
 TEST(ServeScheduler, ExpiredBatchMemberDoesNotDegradeTheOthers) {
-  // Two fused MC members with different budgets: the head's deadline
-  // expiring during the shared membership rewrite degrades the head
-  // only; the other member must still match its solo run bit for bit.
+  // Two grouped MC members with different budgets: the head's deadline
+  // expiring while queued degrades the head only; the other member must
+  // still match its solo run bit for bit.
   auto mc = [](std::uint64_t seed) {
     return Request::volume(kQuantifiedTriangle)
         .vars({"x", "y"})
@@ -371,9 +404,13 @@ TEST(ServeScheduler, ExpiredBatchMemberDoesNotDegradeTheOthers) {
 }
 
 TEST(ServeScheduler, BatchedMemberQuotaIsEnforcedAndReported) {
-  // A quota that would trip this request solo must trip it when fused
-  // into a batch too, and its guard report must say so -- without
-  // dragging the roomy member down with it.
+  // A quota that would trip this request solo must trip it when grouped
+  // with another too, and its guard report must say so -- without
+  // dragging the roomy member down with it. The quota is resident
+  // bytes, which every member charges in its own membership plan. A QE
+  // quota is charged only to the member that computes the shared
+  // rewrite (the others read it from the cache, as run() on a warm
+  // session does); BatchedMembersOverQeQuotaAllTrip covers it.
   ConstraintDatabase db;
   Session session(&db, serve_opts());
   serve::Scheduler& sched = session.scheduler();
@@ -388,7 +425,7 @@ TEST(ServeScheduler, BatchedMemberQuotaIsEnforcedAndReported) {
         .build();
   };
   guard::ResourceQuota tight = guard::ResourceQuota::unlimited();
-  tight.max_qe_atoms = 1;  // any elimination trips
+  tight.max_resident_bytes = 1;  // any membership plan trips
   Request capped_req = mc(3);
   capped_req.budget.quota = tight;
   serve::Ticket capped = session.submit(std::move(capped_req));
@@ -399,7 +436,7 @@ TEST(ServeScheduler, BatchedMemberQuotaIsEnforcedAndReported) {
   ASSERT_TRUE(rc.is_ok()) << rc.status().to_string();
   EXPECT_TRUE(rc.value().degraded());
   EXPECT_TRUE(rc.value().guard.quota_tripped);
-  EXPECT_EQ(rc.value().guard.tripped_quota, "qe_atoms");
+  EXPECT_EQ(rc.value().guard.tripped_quota, "resident_bytes");
   EXPECT_EQ(rc.value().guard.rung, guard::Rung::kTrivialHalf);
   auto rr = roomy.wait();
   ASSERT_TRUE(rr.is_ok()) << rr.status().to_string();
@@ -407,10 +444,44 @@ TEST(ServeScheduler, BatchedMemberQuotaIsEnforcedAndReported) {
   EXPECT_TRUE(rr.value().volume.estimate.has_value());
 }
 
+TEST(ServeScheduler, BatchedMembersOverQeQuotaAllTrip) {
+  // Grouped members that each cap max_qe_atoms at 1: whichever member
+  // leads the rewrite trips, its abandoned flight sends the others to
+  // compute the rewrite under their own meters, and they trip too. No
+  // member may answer from work charged to another.
+  ConstraintDatabase db;
+  Session session(&db, serve_opts());
+  serve::Scheduler& sched = session.scheduler();
+  sched.pause();
+  std::vector<serve::Ticket> tickets;
+  for (std::uint64_t seed : {3, 5, 7}) {
+    Request req = Request::volume(kQuantifiedTriangle)
+                      .vars({"x", "y"})
+                      .strategy(VolumeStrategy::kMonteCarlo)
+                      .epsilon(0.05)
+                      .vc_dim(3.0)
+                      .seed(seed)
+                      .build();
+    req.budget.quota = guard::ResourceQuota::unlimited();
+    req.budget.quota.max_qe_atoms = 1;  // any elimination trips
+    tickets.push_back(session.submit(std::move(req)));
+  }
+  sched.resume();
+  for (serve::Ticket& t : tickets) {
+    auto r = t.wait();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_TRUE(r.value().degraded());
+    EXPECT_TRUE(r.value().guard.quota_tripped);
+    EXPECT_EQ(r.value().guard.tripped_quota, "qe_atoms");
+    EXPECT_EQ(r.value().guard.rung, guard::Rung::kTrivialHalf);
+  }
+  EXPECT_EQ(session.metrics().counter_value("serve_mc_batched_total"), 2u);
+}
+
 TEST(ServeScheduler, BatchSurvivesInjectedAllocationFailure) {
-  // FaultSite::kBigIntAlloc firing inside the batch's shared membership
-  // work must not escape the executor thread (std::terminate); every
-  // member degrades to the honest last rung instead.
+  // FaultSite::kBigIntAlloc firing inside a grouped member's membership
+  // rewrite must not escape the thread running it (std::terminate);
+  // every member degrades to the honest last rung instead.
   ConstraintDatabase db;
   Session session(&db, serve_opts());
   serve::Scheduler& sched = session.scheduler();
@@ -501,7 +572,7 @@ TEST(ServeScheduler, PreCancelledTokenReportsFullSampleSizeInRunAndBatch) {
   // inside the membership rewrite, before any sampling. The answer is
   // the trivial-1/2 rung with points_requested = M, the same count a
   // request that expires during sampling reports, through run() and
-  // through a fused batch alike.
+  // through a queued MC group alike.
   const std::size_t m = blumer_sample_bound(0.05, Budget{}.delta, 3.0);
   auto mc = [](std::uint64_t seed, CancelToken* token) {
     return Request::volume(kDisk)
@@ -533,8 +604,8 @@ TEST(ServeScheduler, PreCancelledTokenReportsFullSampleSizeInRunAndBatch) {
   Session session(&db, serve_opts());
   serve::Scheduler& sched = session.scheduler();
   sched.pause();
-  // The cancelled member heads the batch, so it runs the shared rewrite
-  // first; the healthy member then computes it and samples in full.
+  // The cancelled member trips in its own rewrite; the healthy member
+  // grouped with it computes the rewrite and samples in full.
   serve::Ticket doomed = session.submit(mc(7, &cancelled));
   serve::Ticket healthy = session.submit(mc(11, nullptr));
   sched.resume();
@@ -589,7 +660,7 @@ TEST(ServeScheduler, NearDeadlineBatchRequestDispatchesBeforeInteractive) {
 
 TEST(ServeScheduler, McBatchesAreCappedAtEightMembers) {
   // Fusable forced-MC requests with distinct seeds, queued while paused
-  // and drained by one executor: each group of k fused requests counts
+  // and drained by one executor: each group of k requests counts
   // k - 1 into serve_mc_batched_total.
   ConstraintDatabase db;
   SessionOptions opts = serve_opts();
@@ -615,7 +686,7 @@ TEST(ServeScheduler, McBatchesAreCappedAtEightMembers) {
     return session.metrics().counter_value("serve_mc_batched_total") - before;
   };
   EXPECT_EQ(batched(20), 17u);  // 8 + 8 + 4
-  EXPECT_EQ(batched(8), 7u);    // one full batch; a cap of 7 would give 6
+  EXPECT_EQ(batched(8), 7u);    // one full group; a cap of 7 would give 6
   EXPECT_EQ(batched(9), 7u);    // 8 + 1; a cap of 9 would give 8
 }
 

@@ -79,17 +79,5 @@ TEST(Macros, ReturnIfError) {
   EXPECT_EQ(uses_return_if_error_ok().message(), "reached");
 }
 
-Result<int> assign_or_return_demo(bool fail) {
-  Result<int> source = fail ? Result<int>(Status::invalid("boom"))
-                            : Result<int>(7);
-  CQA_ASSIGN_OR_RETURN(int v, std::move(source));
-  return v * 2;
-}
-
-TEST(Macros, AssignOrReturn) {
-  EXPECT_EQ(assign_or_return_demo(false).value_or_die(), 14);
-  EXPECT_FALSE(assign_or_return_demo(true).is_ok());
-}
-
 }  // namespace
 }  // namespace cqa
