@@ -36,9 +36,11 @@ double now_seconds() {
       .count();
 }
 
-// Random axis-aligned boxes in [0, 5]^dim with rational corners (the E2
-// workload shape: overlapping boxes defeat the disjoint-sum fast path
-// often enough that the sweep and its section metering run for real).
+// Random axis-aligned boxes meant to lie in [0, 5]^dim (the E2 workload
+// shape; every exact volume runs the sweep and its section metering).
+// As written, the upper bound is ((a + w) / 4) x_v <= 0 rather than
+// x_v <= (a + w) / 4, so every cell is lower-dimensional and the sweep
+// workloads stop at the full-dimension filter without a section.
 std::vector<LinearCell> random_boxes(std::size_t dim, std::size_t count,
                                      std::uint64_t seed) {
   Xoshiro rng(seed);
@@ -99,7 +101,7 @@ struct Workload {
 void run_sweep_2d(guard::WorkMeter* meter) {
   auto cells = random_boxes(2, 8, 42);
   for (int rep = 0; rep < 200; ++rep) {
-    auto v = semilinear_volume_sweep(cells, nullptr, nullptr, meter);
+    auto v = semilinear_volume(cells, nullptr, nullptr, meter);
     CQA_CHECK(v.is_ok());
   }
 }
@@ -107,7 +109,7 @@ void run_sweep_2d(guard::WorkMeter* meter) {
 void run_sweep_3d(guard::WorkMeter* meter) {
   auto cells = random_boxes(3, 4, 43);
   for (int rep = 0; rep < 200; ++rep) {
-    auto v = semilinear_volume_sweep(cells, nullptr, nullptr, meter);
+    auto v = semilinear_volume(cells, nullptr, nullptr, meter);
     CQA_CHECK(v.is_ok());
   }
 }

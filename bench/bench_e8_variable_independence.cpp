@@ -97,7 +97,7 @@ BENCHMARK(BM_GridVolume)->Arg(4)->Arg(8)->Arg(16);
 void BM_SweepOnSameBoxes(benchmark::State& state) {
   auto cells = boxes(static_cast<std::size_t>(state.range(0)), 42);
   for (auto _ : state) {
-    auto v = semilinear_volume_sweep(cells);
+    auto v = semilinear_volume(cells);
     benchmark::DoNotOptimize(v);
   }
 }

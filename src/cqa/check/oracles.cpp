@@ -57,8 +57,7 @@ Result<Rational> exact_volume_of(const CheckContext& ctx,
                                  const GeneratedFormula& shape) {
   GeneratedFormula wrapped = shape;
   wrapped.boxed = f;
-  auto v = forced_answer(wrapped, ctx, VolumeStrategy::kExactSweep,
-                         shape.seed);
+  auto v = forced_answer(wrapped, ctx, VolumeStrategy::kAuto, shape.seed);
   if (!v.is_ok()) return v.status();
   if (!v.value().exact) {
     return Status::internal("exact sweep returned no exact value");
@@ -350,7 +349,7 @@ class RunVsSubmitOracle : public Oracle {
                     bool inject_fault) const override {
     std::vector<Request> requests;
     requests.push_back(volume_request(g, ctx, trial_seed));
-    requests.back().strategy = VolumeStrategy::kExactSweep;
+    requests.back().strategy = VolumeStrategy::kAuto;
     for (std::uint64_t k = 0; k < 3; ++k) {
       requests.push_back(volume_request(g, ctx, trial_seed + k));
       requests.back().strategy = VolumeStrategy::kMonteCarlo;

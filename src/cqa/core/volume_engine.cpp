@@ -76,7 +76,6 @@ Result<VolumeAnswer> VolumeEngine::volume(
   std::optional<std::string> cache_key;
   const bool exact_strategy =
       options.strategy == VolumeStrategy::kAuto ||
-      options.strategy == VolumeStrategy::kExactSweep ||
       options.strategy == VolumeStrategy::kInclusionExclusion ||
       options.strategy == VolumeStrategy::kVariableIndependent;
   if (cache_ != nullptr && exact_strategy) {
@@ -102,10 +101,6 @@ Result<VolumeAnswer> VolumeEngine::volume(
   switch (options.strategy) {
     case VolumeStrategy::kAuto:
       exact = semilinear_volume(live, nullptr, options.cancel, options.meter);
-      break;
-    case VolumeStrategy::kExactSweep:
-      exact = semilinear_volume_sweep(live, nullptr, options.cancel,
-                                      options.meter);
       break;
     case VolumeStrategy::kInclusionExclusion:
       exact = volume_inclusion_exclusion(live);

@@ -16,8 +16,7 @@ namespace cqa {
 
 /// How to compute (or approximate) a volume.
 enum class VolumeStrategy {
-  kAuto,                // exact sweep with fast paths (default)
-  kExactSweep,          // Theorem-3 sweep, fast paths disabled
+  kAuto,                // exact Theorem-3 sweep (default)
   kInclusionExclusion,  // exact, exponential in cell count
   kVariableIndependent, // exact, requires the [11] box shape
   kMonteCarlo,          // Theorem-4 sampling (eps, delta)

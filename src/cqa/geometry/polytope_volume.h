@@ -3,8 +3,8 @@
 // Kept fully rational: instead of the usual Vol(F_i)/||a_i|| (irrational
 // norm) the recursion projects each facet along a coordinate axis j with
 // a_ij != 0, using Vol_{n-1}(F_i)/||a_i|| = Vol_{n-1}(proj_j F_i)/|a_ij|.
-// Serves as the single-cell fast path and as an independent oracle for the
-// Theorem-3 sweep engine in cqa/volume.
+// Serves inclusion-exclusion (cqa/volume) and the convex-body benches, and
+// is an independent oracle for the Theorem-3 sweep engine in cqa/volume.
 
 #ifndef CQA_GEOMETRY_POLYTOPE_VOLUME_H_
 #define CQA_GEOMETRY_POLYTOPE_VOLUME_H_

@@ -116,7 +116,6 @@ double hoeffding_epsilon(double delta, std::size_t n) {
 const char* strategy_name(VolumeStrategy s) {
   switch (s) {
     case VolumeStrategy::kAuto: return "exact";
-    case VolumeStrategy::kExactSweep: return "exact_sweep";
     case VolumeStrategy::kInclusionExclusion: return "inclusion_exclusion";
     case VolumeStrategy::kVariableIndependent: return "variable_independent";
     case VolumeStrategy::kMonteCarlo: return "mc";

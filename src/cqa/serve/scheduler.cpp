@@ -71,7 +71,9 @@ std::string request_fingerprint(const Request& request) {
   fp.reserve(128 + request.query.size());
   // Format version: bump when an answer-affecting field is added so a
   // disk cache written by an older build can never alias a new shape.
-  put_u8(&fp, 1);
+  // Format 2: VolumeStrategy lost its sweep-only member, renumbering the
+  // strategy byte below.
+  put_u8(&fp, 2);
   put_u8(&fp, static_cast<std::uint8_t>(request.kind));
   put_str(&fp, request.query);
   put_u64(&fp, request.output_vars.size());

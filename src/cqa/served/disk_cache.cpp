@@ -14,7 +14,10 @@ namespace {
 constexpr char kMagic[] = "CQADC";      // 5 bytes, then format version
 // v2: answer payloads grew the guard worker_hung byte; v1 records would
 // fail decode_answer, so a version bump drops them wholesale at open().
-constexpr std::uint8_t kFormatVersion = 2;
+// v3: request fingerprints (the keys) moved to format 2. Old keys can
+// never hit again, yet would count toward capacity, which refuses new
+// keys when full.
+constexpr std::uint8_t kFormatVersion = 3;
 constexpr std::uint64_t kChecksumSalt = 0xd15cc4c4e5a17ULL;
 
 std::uint64_t record_checksum(const std::string& key,

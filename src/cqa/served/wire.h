@@ -40,7 +40,9 @@
 namespace cqa {
 namespace served {
 
-inline constexpr std::uint8_t kWireVersion = 2;  // v2: frame checksum
+// v2: frame checksum. v3: VolumeStrategy lost its sweep-only member, so
+// every later strategy ordinal in a request frame moved down by one.
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Upper bound on one frame body; larger length prefixes are treated as
 /// corruption and fail the connection instead of allocating blindly.
 inline constexpr std::uint32_t kMaxFrameBody = 64u << 20;

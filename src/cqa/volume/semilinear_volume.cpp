@@ -46,16 +46,14 @@ std::vector<Rational> newton_cotes_weights(std::size_t n) {
 
 // What every level of one volume computation shares.
 struct SweepContext {
-  SweepContext(std::size_t dim, VolumeStats* stats, bool force_sweep,
-               const CancelToken* cancel, guard::WorkMeter* meter)
+  SweepContext(std::size_t dim, VolumeStats* stats, const CancelToken* cancel,
+               guard::WorkMeter* meter)
       : stats(stats),
-        force_sweep(force_sweep),
         cancel(cancel),
         meter(meter),
         weights(dim + 1) {}
 
   VolumeStats* stats;
-  bool force_sweep;
   const CancelToken* cancel;
   guard::WorkMeter* meter;
   // [n]: newton_cotes_weights(n), filled on first use. Sized up front, so
@@ -342,41 +340,6 @@ Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
       }
     }
   }
-  // In 1-D the sweep reads each interval off the constraints and merges;
-  // the fast paths would only add Fourier-Motzkin work.
-  if (!ctx.force_sweep && dim > 1) {
-    if (cells.size() == 1) {
-      if (ctx.stats) ++ctx.stats->lasserre_calls;
-      return polytope_volume(Polyhedron(cells[0]));
-    }
-    // Pairwise interior-disjoint cells sum exactly (shared boundaries have
-    // measure zero).
-    bool disjoint = true;
-    for (std::size_t i = 0; i < cells.size() && disjoint; ++i) {
-      for (std::size_t j = i + 1; j < cells.size() && disjoint; ++j) {
-        std::vector<LinearConstraint> both;
-        for (const auto* cell : {&cells[i], &cells[j]}) {
-          for (const auto& c : cell->constraints()) {
-            LinearConstraint s = c.closure();
-            s.cmp = LinCmp::kLt;
-            both.push_back(std::move(s));
-          }
-        }
-        ctx.count_fm();
-        if (fm_feasible(both, dim)) disjoint = false;
-      }
-    }
-    if (disjoint) {
-      Rational total;
-      for (const auto& cell : cells) {
-        if (ctx.stats) ++ctx.stats->lasserre_calls;
-        auto v = polytope_volume(Polyhedron(cell));
-        if (!v.is_ok()) return v;
-        total += v.value();
-      }
-      return total;
-    }
-  }
   return sweep(cells, dim, ctx);
 }
 
@@ -388,20 +351,8 @@ Result<Rational> semilinear_volume(const std::vector<LinearCell>& cells,
                                    guard::WorkMeter* meter) {
   if (cells.empty()) return Rational(0);
   const std::size_t dim = cells[0].dim();
-  return volume_union(
-      cells, dim, SweepContext(dim, stats, /*force_sweep=*/false, cancel, meter),
-      /*top_level=*/true);
-}
-
-Result<Rational> semilinear_volume_sweep(const std::vector<LinearCell>& cells,
-                                         VolumeStats* stats,
-                                         const CancelToken* cancel,
-                                         guard::WorkMeter* meter) {
-  if (cells.empty()) return Rational(0);
-  const std::size_t dim = cells[0].dim();
-  return volume_union(
-      cells, dim, SweepContext(dim, stats, /*force_sweep=*/true, cancel, meter),
-      /*top_level=*/true);
+  return volume_union(cells, dim, SweepContext(dim, stats, cancel, meter),
+                      /*top_level=*/true);
 }
 
 Result<Rational> formula_volume(const FormulaPtr& f, std::size_t dim) {

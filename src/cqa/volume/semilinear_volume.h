@@ -21,7 +21,11 @@
 // full-dimensional and bounded by construction: sections are kept by an
 // interval test, and only the top-level call runs the Fourier-Motzkin
 // full-dimension and boundedness filters. Unions and overlaps cost
-// nothing extra: the recursion bottoms out in 1-D interval merging.
+// nothing extra: the recursion bottoms out in 1-D interval merging. The
+// sweep is the only exact path for every input, a single cell and
+// interior-disjoint cells included, so every exact volume polls the
+// cancel token and is charged per section. Lasserre's polytope_volume
+// (cqa/geometry) is an independent oracle for it in tests and E2.
 
 #ifndef CQA_VOLUME_SEMILINEAR_VOLUME_H_
 #define CQA_VOLUME_SEMILINEAR_VOLUME_H_
@@ -29,7 +33,6 @@
 #include <vector>
 
 #include "cqa/constraint/linear_cell.h"
-#include "cqa/geometry/polytope_volume.h"
 #include "cqa/guard/meter.h"
 #include "cqa/logic/formula.h"
 #include "cqa/util/cancellation.h"
@@ -39,7 +42,6 @@ namespace cqa {
 /// Statistics of one exact-volume computation (for the benches).
 struct VolumeStats {
   std::size_t sweep_calls = 0;        // recursive sweep invocations
-  std::size_t lasserre_calls = 0;     // single-polytope fast paths taken
   std::size_t breakpoints = 0;        // total breakpoints enumerated
   std::size_t sections_evaluated = 0; // recursive section evaluations
   std::size_t feasibility_calls = 0;  // Fourier-Motzkin feasibility tests
@@ -57,12 +59,6 @@ Result<Rational> semilinear_volume(const std::vector<LinearCell>& cells,
                                    VolumeStats* stats = nullptr,
                                    const CancelToken* cancel = nullptr,
                                    guard::WorkMeter* meter = nullptr);
-
-/// Forces the sweep path even where a fast path applies (for ablations).
-Result<Rational> semilinear_volume_sweep(const std::vector<LinearCell>& cells,
-                                         VolumeStats* stats = nullptr,
-                                         const CancelToken* cancel = nullptr,
-                                         guard::WorkMeter* meter = nullptr);
 
 /// VOL(phi(D)) for a quantifier-free, predicate-free FO+LIN formula with
 /// free variables 0..dim-1. The denotation must be bounded.

@@ -7,6 +7,7 @@
 #include "cqa/approx/hit_and_run.h"
 #include "cqa/approx/monte_carlo.h"
 #include "cqa/approx/random.h"
+#include "cqa/geometry/polytope_volume.h"
 #include "cqa/logic/parser.h"
 #include "cqa/runtime/parallel_sampler.h"
 #include "cqa/volume/semilinear_volume.h"

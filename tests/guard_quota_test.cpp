@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "cqa/arith/bigint.h"
 #include "cqa/constraint/fourier_motzkin.h"
@@ -226,11 +227,9 @@ TEST(GuardSession, SweepQuotaTripFallsBackToMonteCarloWithValidBars) {
   SessionOptions opts;
   opts.threads = 2;
   Session session(&db, opts);
-  // Two *overlapping* cells: interior-disjoint unions take the
-  // per-polytope sum fast path and never sweep, so the square must
-  // straddle the triangle's hypotenuse to force the sweep (several
-  // x-sections per breakpoint interval) where a one-section ceiling
-  // trips mid-decomposition.
+  // Two *overlapping* cells: the square straddles the triangle's
+  // hypotenuse, so the sweep meets several x-sections per breakpoint
+  // interval and a one-section ceiling trips mid-decomposition.
   Request req = volume_request(
       "(x >= 0 & y >= 0 & x + y <= 1) |"
       " (x >= 1/4 & x <= 3/4 & y >= 1/4 & y <= 3/4)");
@@ -253,6 +252,37 @@ TEST(GuardSession, SweepQuotaTripFallsBackToMonteCarloWithValidBars) {
   ASSERT_TRUE(ans.volume.upper.has_value());
   EXPECT_LE(*ans.volume.lower, *ans.volume.upper);
   EXPECT_LE(*ans.volume.upper - *ans.volume.lower, 2 * 0.05 + 1e-12);
+}
+
+TEST(GuardSession, SweepQuotaMetersSingleAndDisjointCells) {
+  // The sweep is the only exact path, so a single box and two
+  // interior-disjoint boxes are charged per section like any union: a
+  // one-section ceiling trips them too, and the ladder falls back to MC.
+  const std::pair<const char*, double> cases[] = {
+      {"x >= 0 & x <= 1/2 & y >= 0 & y <= 1/2", 0.25},
+      {"(x >= 0 & x <= 1/2 & y >= 0 & y <= 1/2) |"
+       " (x >= 1/2 & x <= 1 & y >= 1/2 & y <= 3/4)",
+       0.375},
+  };
+  for (const auto& [query, truth] : cases) {
+    ConstraintDatabase db;
+    Session session(&db, SessionOptions{.threads = 2});
+    Request req = volume_request(query);
+    req.budget.epsilon = 0.05;
+    req.budget.quota = guard::ResourceQuota::unlimited();
+    req.budget.quota.max_sweep_sections = 1;
+    auto a = session.run(req);
+    ASSERT_TRUE(a.is_ok()) << query;
+    const Answer& ans = a.value();
+    EXPECT_EQ(ans.status, AnswerStatus::kDegraded) << query;
+    EXPECT_TRUE(ans.guard.quota_tripped) << query;
+    EXPECT_EQ(ans.guard.tripped_quota, "sweep_sections") << query;
+    EXPECT_EQ(ans.guard.rung, guard::Rung::kMonteCarlo) << query;
+    ASSERT_TRUE(ans.volume.lower.has_value()) << query;
+    ASSERT_TRUE(ans.volume.upper.has_value()) << query;
+    EXPECT_LE(*ans.volume.lower, truth) << query;
+    EXPECT_GE(*ans.volume.upper, truth) << query;
+  }
 }
 
 TEST(GuardSession, RewriteRequestReportsTypedQuotaError) {

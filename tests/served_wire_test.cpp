@@ -372,7 +372,7 @@ TEST(Fingerprint, GoldenBytesAreStableAcrossPlatformsAndSessions) {
                   .deadline_ms(16)
                   .seed(3)
                   .build();
-  EXPECT_EQ(hex(serve::request_fingerprint(r)), "0103080000000000000078203c3d20312f320100000000000000010000000000"
+  EXPECT_EQ(hex(serve::request_fingerprint(r)), "0203080000000000000078203c3d20312f320100000000000000010000000000"
       "000078000000000000e03f000000000000d03f100000000000000000093d0000"
       "00000090d003000000000020a107000000000040420f00000000000000004000"
       "0000000300000000000000ff0000000000000000000000000000000000000000"

@@ -4,6 +4,7 @@
 
 #include "cqa/constraint/qe.h"
 #include "cqa/geometry/affine.h"
+#include "cqa/geometry/polytope_volume.h"
 #include "cqa/logic/parser.h"
 #include "cqa/logic/transform.h"
 #include "cqa/volume/inclusion_exclusion.h"
@@ -44,8 +45,6 @@ TEST(SemilinearVolume, OverlappingUnion) {
       "(1 <= x & x <= 3 & 1 <= y & y <= 3)",
       2);
   EXPECT_EQ(semilinear_volume(cells).value_or_die(), Rational(7));
-  // Sweep path must agree.
-  EXPECT_EQ(semilinear_volume_sweep(cells).value_or_die(), Rational(7));
   // Inclusion-exclusion must agree.
   EXPECT_EQ(volume_inclusion_exclusion(cells).value_or_die(), Rational(7));
 }
@@ -58,7 +57,7 @@ TEST(SemilinearVolume, OverlappingTriangles) {
       2);
   // The union is exactly the square [0,2]^2: 2 + 2 = 4, no overlap interior.
   EXPECT_EQ(semilinear_volume(cells).value_or_die(), Rational(4));
-  EXPECT_EQ(semilinear_volume_sweep(cells).value_or_die(), Rational(4));
+  EXPECT_EQ(volume_inclusion_exclusion(cells).value_or_die(), Rational(4));
 }
 
 TEST(SemilinearVolume, StrictVsWeakSameVolume) {
@@ -91,7 +90,7 @@ TEST(SemilinearVolume, AnnulusSquare) {
       "(x <= 1 | x >= 2 | y <= 1 | y >= 2)",
       2);
   EXPECT_EQ(semilinear_volume(cells).value_or_die(), Rational(8));
-  EXPECT_EQ(semilinear_volume_sweep(cells).value_or_die(), Rational(8));
+  EXPECT_EQ(volume_inclusion_exclusion(cells).value_or_die(), Rational(8));
 }
 
 TEST(SemilinearVolume, ThreeDOverlap) {
@@ -110,7 +109,8 @@ TEST(SemilinearVolume, RotatedSquareSweep) {
   AffineMap rot = AffineMap::rotation2d(Rational(1, 3));
   LinearCell rotated = rot.apply(square).value_or_die();
   EXPECT_EQ(semilinear_volume({rotated}).value_or_die(), Rational(1));
-  EXPECT_EQ(semilinear_volume_sweep({rotated}).value_or_die(), Rational(1));
+  // Lasserre's recursion is the independent single-polytope oracle.
+  EXPECT_EQ(polytope_volume(Polyhedron(rotated)).value_or_die(), Rational(1));
 }
 
 TEST(SemilinearVolume, AffineScalingLaw) {
@@ -225,7 +225,7 @@ TEST(InclusionExclusion, MatchesSweepOnRandomBoxes) {
       "(0 <= x & x <= 1 & 1/2 <= y & y <= 3/2)",
       2);
   EXPECT_EQ(volume_inclusion_exclusion(cells).value_or_die(),
-            semilinear_volume_sweep(cells).value_or_die());
+            semilinear_volume(cells).value_or_die());
 }
 
 TEST(InclusionExclusion, CellCap) {
@@ -234,21 +234,21 @@ TEST(InclusionExclusion, CellCap) {
   EXPECT_FALSE(volume_inclusion_exclusion(many, 20).is_ok());
 }
 
-TEST(VolumeStats, FastPathsAreTaken) {
-  VolumeStats stats;
-  auto single = cells_of("0 <= x & x <= 1 & 0 <= y & y <= 1", 2);
-  semilinear_volume(single, &stats).value_or_die();
-  EXPECT_EQ(stats.lasserre_calls, 1u);
-  EXPECT_EQ(stats.sweep_calls, 0u);
-
-  VolumeStats stats2;
-  auto overlap = cells_of(
-      "(0 <= x & x <= 2 & 0 <= y & y <= 2) | "
-      "(1 <= x & x <= 3 & 1 <= y & y <= 3)",
-      2);
-  semilinear_volume(overlap, &stats2).value_or_die();
-  EXPECT_GE(stats2.sweep_calls, 1u);
-  EXPECT_GT(stats2.breakpoints, 0u);
+TEST(VolumeStats, EveryUnionIsSwept) {
+  // A single box, interior-disjoint boxes and an overlap all sweep: the
+  // sweep is the only exact path, so each evaluates sections.
+  for (const char* formula :
+       {"0 <= x & x <= 1 & 0 <= y & y <= 1",
+        "(0 <= x & x <= 1 & 0 <= y & y <= 1) | "
+        "(2 <= x & x <= 3 & 0 <= y & y <= 2)",
+        "(0 <= x & x <= 2 & 0 <= y & y <= 2) | "
+        "(1 <= x & x <= 3 & 1 <= y & y <= 3)"}) {
+    VolumeStats stats;
+    semilinear_volume(cells_of(formula, 2), &stats).value_or_die();
+    EXPECT_GE(stats.sweep_calls, 1u) << formula;
+    EXPECT_GT(stats.breakpoints, 0u) << formula;
+    EXPECT_GT(stats.sections_evaluated, 0u) << formula;
+  }
 }
 
 TEST(VolumeStats, FeasibilityCallsArePerLevelNotPerSection) {
@@ -260,7 +260,7 @@ TEST(VolumeStats, FeasibilityCallsArePerLevelNotPerSection) {
   const std::size_t n = cells.size();
   const std::size_t dim = 3;
   VolumeStats stats;
-  Rational v = semilinear_volume_sweep(cells, &stats).value_or_die();
+  Rational v = semilinear_volume(cells, &stats).value_or_die();
   EXPECT_EQ(v, volume_inclusion_exclusion(cells).value_or_die());
   // The top level runs one full-dimension test and dim boundedness
   // projections per cell; every sweep call then projects each of its
@@ -279,7 +279,7 @@ TEST(SemilinearVolume, BreakpointsComeOnlyFromVerticesInACell) {
       "(2*x - 20 >= 3*y & 2*x - 24 <= y & 20 - 2*x <= y)",
       2);
   VolumeStats stats;
-  Rational v = semilinear_volume_sweep(cells, &stats).value_or_die();
+  Rational v = semilinear_volume(cells, &stats).value_or_die();
   EXPECT_EQ(v, Rational(5, 2) + Rational(4));
   EXPECT_EQ(v, volume_inclusion_exclusion(cells).value_or_die());
   // x-coordinates of the vertices: {0, 1, 2} and {10, 11, 13}.
