@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cqa/approx/random.h"
 #include "cqa/constraint/fourier_motzkin.h"
 #include "cqa/guard/fault.h"
 #include "cqa/guard/meter.h"
@@ -34,37 +33,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Random axis-aligned boxes meant to lie in [0, 5]^dim (the E2 workload
-// shape; every exact volume runs the sweep and its section metering).
-// As written, the upper bound is ((a + w) / 4) x_v <= 0 rather than
-// x_v <= (a + w) / 4, so every cell is lower-dimensional and the sweep
-// workloads stop at the full-dimension filter without a section.
-std::vector<LinearCell> random_boxes(std::size_t dim, std::size_t count,
-                                     std::uint64_t seed) {
-  Xoshiro rng(seed);
-  std::vector<LinearCell> cells;
-  for (std::size_t c = 0; c < count; ++c) {
-    LinearCell cell(dim);
-    for (std::size_t v = 0; v < dim; ++v) {
-      std::int64_t a = static_cast<std::int64_t>(rng.next() % 12);
-      std::int64_t w = 1 + static_cast<std::int64_t>(rng.next() % 8);
-      LinearConstraint lo;
-      lo.coeffs.assign(dim, Rational());
-      lo.coeffs[v] = Rational(-1);
-      lo.rhs = Rational(-a, 4);
-      lo.cmp = LinCmp::kLe;
-      LinearConstraint hi;
-      hi.coeffs.assign(dim, Rational());
-      hi.coeffs[v] = Rational(a + w, 4);
-      hi.cmp = LinCmp::kLe;
-      cell.add(std::move(lo));
-      cell.add(std::move(hi));
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
 }
 
 // Dense elimination input: n lower and n upper bounds on x0 mixing the
@@ -96,22 +64,24 @@ struct Workload {
   void (*run)(guard::WorkMeter* meter);
 };
 
-// Each workload runs long enough (tens of ms) that a 2% delta clears
-// timer noise; a single sweep of this size is only ~0.1 ms.
-void run_sweep_2d(guard::WorkMeter* meter) {
-  auto cells = random_boxes(2, 8, 42);
+// Each sweep workload is 200 sweeps (~0.25 ms each in 2-D, ~1 ms in
+// 3-D), so timer resolution sits far below the 2% budget.
+void run_sweeps(const std::vector<LinearCell>& cells,
+                guard::WorkMeter* meter) {
   for (int rep = 0; rep < 200; ++rep) {
     auto v = semilinear_volume(cells, nullptr, nullptr, meter);
-    CQA_CHECK(v.is_ok());
+    // A zero volume would mean no section ran, so the gate would not
+    // cover section metering.
+    CQA_CHECK(v.is_ok() && v.value() > Rational(0));
   }
 }
 
+void run_sweep_2d(guard::WorkMeter* meter) {
+  run_sweeps(cqa_bench::random_boxes(2, 8, 42), meter);
+}
+
 void run_sweep_3d(guard::WorkMeter* meter) {
-  auto cells = random_boxes(3, 4, 43);
-  for (int rep = 0; rep < 200; ++rep) {
-    auto v = semilinear_volume(cells, nullptr, nullptr, meter);
-    CQA_CHECK(v.is_ok());
-  }
+  run_sweeps(cqa_bench::random_boxes(3, 4, 43), meter);
 }
 
 void run_fm(guard::WorkMeter* meter) {

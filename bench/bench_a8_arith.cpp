@@ -97,38 +97,8 @@ void run_fm_feasible_chain() {
   }
 }
 
-// The A5 sweep workload: overlapping random boxes with quarter-integer
-// corners, so the exact sweep's small-value section arithmetic runs on
-// many breakpoints.
-std::vector<LinearCell> random_boxes(std::size_t dim, std::size_t count,
-                                     std::uint64_t seed) {
-  Xoshiro rng(seed);
-  std::vector<LinearCell> cells;
-  for (std::size_t c = 0; c < count; ++c) {
-    LinearCell cell(dim);
-    for (std::size_t v = 0; v < dim; ++v) {
-      std::int64_t a = static_cast<std::int64_t>(rng.next() % 12);
-      std::int64_t w = 1 + static_cast<std::int64_t>(rng.next() % 8);
-      LinearConstraint lo;
-      lo.coeffs.assign(dim, Rational());
-      lo.coeffs[v] = Rational(-1);
-      lo.rhs = Rational(-a, 4);
-      lo.cmp = LinCmp::kLe;
-      LinearConstraint hi;
-      hi.coeffs.assign(dim, Rational());
-      hi.coeffs[v] = Rational(1);
-      hi.rhs = Rational(a + w, 4);
-      hi.cmp = LinCmp::kLe;
-      cell.add(std::move(lo));
-      cell.add(std::move(hi));
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
 void run_sweep_sections() {
-  auto cells = random_boxes(2, 8, 42);
+  auto cells = cqa_bench::random_boxes(2, 8, 42);
   for (int rep = 0; rep < 100; ++rep) {
     auto v = semilinear_volume(cells, nullptr, nullptr, nullptr);
     CQA_CHECK(v.is_ok());

@@ -13,6 +13,7 @@
 #include "cqa/logic/transform.h"
 #include "cqa/runtime/parallel_sampler.h"
 #include "cqa/vc/blowup.h"
+#include "cqa/vc/sample_bounds.h"
 #include "cqa/volume/semilinear_volume.h"
 
 namespace {

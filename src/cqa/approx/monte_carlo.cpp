@@ -4,7 +4,6 @@
 
 #include "cqa/aggregate/sql_aggregates.h"
 #include "cqa/logic/transform.h"
-#include "cqa/runtime/parallel_sampler.h"
 
 namespace cqa {
 
@@ -45,16 +44,6 @@ Result<std::size_t> mc_count_hits(
     if (r.value()) ++hits;
   }
   return hits;
-}
-
-Result<double> mc_volume(const Database& db, const FormulaPtr& phi,
-                         const std::vector<std::size_t>& element_vars,
-                         const std::map<std::size_t, Rational>& params,
-                         double epsilon, double delta, double vc_dim,
-                         std::uint64_t seed) {
-  const std::size_t m = blumer_sample_bound(epsilon, delta, vc_dim);
-  ParallelSampler sampler(&db, phi, element_vars, m, seed);
-  return sampler.estimate(params);
 }
 
 Result<Rational> mc_volume_in_language(
@@ -111,24 +100,6 @@ Result<Rational> mc_volume_in_language(
   auto hits = bag_count(*db, name, 0, filter);
   if (!hits.is_ok()) return hits.status();
   return hits.value() / Rational(static_cast<std::int64_t>(sample_size));
-}
-
-Result<double> halton_volume(const Database& db, const FormulaPtr& phi,
-                             const std::vector<std::size_t>& element_vars,
-                             const std::map<std::size_t, Rational>& params,
-                             std::size_t points) {
-  auto inlined = db.inline_predicates(phi);
-  if (!inlined.is_ok()) return inlined.status();
-  std::vector<std::vector<double>> sample;
-  sample.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    sample.push_back(halton_point(i, element_vars.size()));
-  }
-  auto hits = mc_count_hits(inlined.value(), element_vars, params,
-                            sample.data(), points);
-  if (!hits.is_ok()) return hits.status();
-  if (points == 0) return 0.0;
-  return static_cast<double>(hits.value()) / static_cast<double>(points);
 }
 
 }  // namespace cqa

@@ -6,10 +6,11 @@
 // parameters a* with probability >= 1 - delta. The counting is exactly
 // the FO+POLY+SUM expressible part; W supplies the sample.
 //
-// The estimator itself is ParallelSampler (cqa/runtime/parallel_sampler.h);
-// this header keeps the one-shot mc_volume() over it, the reference
-// interpreter mc_count_hits() the compiled kernel is tested against, the
-// Halton variant, and the in-language construction of Theorem 4.
+// The estimator itself is ParallelSampler (cqa/runtime/parallel_sampler.h),
+// run by Session, which sizes M with mc_sample_size (cqa/plan/planner.h)
+// and assembles the error bars. This header keeps the reference
+// interpreter mc_count_hits() the compiled kernel is tested against and
+// the in-language construction of Theorem 4.
 
 #ifndef CQA_APPROX_MONTE_CARLO_H_
 #define CQA_APPROX_MONTE_CARLO_H_
@@ -21,7 +22,6 @@
 #include "cqa/approx/compiled_membership.h"
 #include "cqa/approx/random.h"
 #include "cqa/util/cancellation.h"
-#include "cqa/vc/sample_bounds.h"
 
 namespace cqa {
 
@@ -38,22 +38,6 @@ Result<std::size_t> mc_count_hits(
     const std::map<std::size_t, Rational>& params,
     const std::vector<double>* points, std::size_t count,
     const CancelToken* cancel = nullptr);
-
-/// One-shot helper: estimate VOL_I(phi(params, D)) with the sample size
-/// implied by (epsilon, delta, vc_dim), on a serial ParallelSampler.
-Result<double> mc_volume(const Database& db, const FormulaPtr& phi,
-                         const std::vector<std::size_t>& element_vars,
-                         const std::map<std::size_t, Rational>& params,
-                         double epsilon, double delta, double vc_dim,
-                         std::uint64_t seed);
-
-/// Deterministic low-discrepancy variant (Halton), for the grid-vs-random
-/// comparison benches. Counts through mc_count_hits, so a params key
-/// outside the formula's variable range is a kInvalidArgument.
-Result<double> halton_volume(const Database& db, const FormulaPtr& phi,
-                             const std::vector<std::size_t>& element_vars,
-                             const std::map<std::size_t, Rational>& params,
-                             std::size_t points);
 
 /// Theorem 4 expressed THROUGH the language: W draws the M-sample, the
 /// sample is materialized as a finite relation in `db` (name chosen

@@ -55,24 +55,6 @@ double Xoshiro::normal() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
-std::vector<double> halton_point(std::size_t index, std::size_t dim) {
-  static const int kPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19,
-                                23, 29, 31, 37, 41, 43, 47, 53};
-  std::vector<double> p(dim);
-  for (std::size_t d = 0; d < dim; ++d) {
-    const int base = kPrimes[d % 16];
-    double f = 1.0, r = 0.0;
-    std::size_t i = index + 1;
-    while (i > 0) {
-      f /= base;
-      r += f * static_cast<double>(i % static_cast<std::size_t>(base));
-      i /= static_cast<std::size_t>(base);
-    }
-    p[d] = r;
-  }
-  return p;
-}
-
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t z = seed + (stream + 1) * 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -1,8 +1,7 @@
 // Seeded randomness for the approximation engines.
 //
-// xoshiro256++ (public-domain algorithm by Blackman & Vigna), plus Halton
-// low-discrepancy sequences for the deterministic-grid comparisons, plus
-// the paper's witness operator W (Abiteboul-Vianu) realized as a uniform
+// xoshiro256++ (public-domain algorithm by Blackman & Vigna), plus the
+// paper's witness operator W (Abiteboul-Vianu) realized as a uniform
 // sampler.
 
 #ifndef CQA_APPROX_RANDOM_H_
@@ -30,9 +29,6 @@ class Xoshiro {
  private:
   std::uint64_t s_[4];
 };
-
-/// Halton low-discrepancy sequence point (index >= 0) in [0,1)^dim.
-std::vector<double> halton_point(std::size_t index, std::size_t dim);
 
 /// Counter-based stream seeding: a splitmix64-style mix of (seed,
 /// stream). Chunk c of a partitioned Monte-Carlo sample draws from

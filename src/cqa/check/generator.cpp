@@ -11,15 +11,12 @@ namespace {
 // samplers' stream_seed(seed, chunk) streams.
 constexpr std::uint64_t kGenStream = 0x47454E4552415445ull;  // "GENERATE"
 
-VarTable named_vars(std::size_t dimension, std::size_t quantifiers) {
-  VarTable vars;
-  for (std::size_t i = 0; i < dimension; ++i) {
-    vars.index_of("v" + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < quantifiers; ++i) {
-    vars.index_of("q" + std::to_string(i));
-  }
-  return vars;
+// "v0", "q3", ...: appended rather than "v" + std::to_string(i), on
+// which GCC 12 at -O3 reports a false -Wrestrict.
+std::string generator_var(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
 }
 
 constexpr std::size_t kMaxQuantifierNames = 8;
@@ -146,16 +143,17 @@ std::string GeneratedFormula::core_text() const {
 }
 
 std::string print_generated(const FormulaPtr& f, std::size_t dimension) {
-  VarTable vars = named_vars(dimension, kMaxQuantifierNames);
+  VarTable vars;
+  register_generator_vars(&vars, dimension);
   return to_string(f, vars);
 }
 
 void register_generator_vars(VarTable* vars, std::size_t dimension) {
   for (std::size_t i = 0; i < dimension; ++i) {
-    vars->index_of("v" + std::to_string(i));
+    vars->index_of(generator_var("v", i));
   }
   for (std::size_t i = 0; i < kMaxQuantifierNames; ++i) {
-    vars->index_of("q" + std::to_string(i));
+    vars->index_of(generator_var("q", i));
   }
 }
 
@@ -187,7 +185,7 @@ GeneratedFormula with_core(FormulaPtr core, std::size_t dimension,
   g.dimension = dimension;
   g.seed = seed;
   for (std::size_t i = 0; i < dimension; ++i) {
-    g.output_vars.push_back("v" + std::to_string(i));
+    g.output_vars.push_back(generator_var("v", i));
   }
   return g;
 }

@@ -1,12 +1,8 @@
 #include "cqa/core/volume_engine.h"
 
-#include <algorithm>
-
 #include "cqa/approx/ellipsoid.h"
 #include "cqa/approx/gadgets.h"
 #include "cqa/approx/hit_and_run.h"
-#include "cqa/logic/transform.h"
-#include "cqa/runtime/parallel_sampler.h"
 #include "cqa/volume/growth.h"
 #include "cqa/volume/inclusion_exclusion.h"
 #include "cqa/volume/semilinear_volume.h"
@@ -35,40 +31,12 @@ Result<UPoly> VolumeEngine::growth_polynomial(
 Result<VolumeAnswer> VolumeEngine::volume(
     const ParsedQuery& query, const std::vector<std::string>& output_vars,
     const VolumeOptions& options) {
+  if (options.strategy == VolumeStrategy::kMonteCarlo) {
+    return Status::invalid(
+        "Monte-Carlo volumes run through Session, not VolumeEngine");
+  }
   VolumeAnswer answer;
   const RewriteOptions rw{options.cancel, options.meter};
-
-  if (options.strategy == VolumeStrategy::kMonteCarlo) {
-    // Theorem-4 sampling on the serial ParallelSampler, over the same
-    // memoized membership rewrite Session samples (expand + inline, plus
-    // linear QE when quantified), so the estimate is bit-identical to a
-    // forced-MC Session::run with the same (seed, eps, delta, vc_dim).
-    // Polynomial constraints are fine; always VOL_I semantics (samples
-    // live in the unit box). Output variables are checked against the
-    // query as written.
-    auto element_vars =
-        resolve_element_vars(*db_, query.formula(), output_vars);
-    if (!element_vars.is_ok()) return element_vars.status();
-    auto membership = queries_.rewrite(query, rw);
-    if (!membership.is_ok()) return membership.status();
-    std::size_t m =
-        blumer_sample_bound(options.epsilon, options.delta, options.vc_dim);
-    if (options.max_mc_samples > 0) {
-      m = std::min(m, options.max_mc_samples);
-    }
-    ParallelSampler sampler(&db_->db(), membership.value(),
-                            element_vars.value(), m, options.seed,
-                            ParallelSampler::kDefaultChunkSize,
-                            options.meter);
-    auto e = sampler.estimate({}, /*pool=*/nullptr, options.cancel);
-    if (!e.is_ok()) return e.status();
-    answer.estimate = e.value();
-    answer.lower = e.value() - options.epsilon;
-    answer.upper = e.value() + options.epsilon;
-    answer.points_evaluated = m;
-    answer.points_requested = m;
-    return answer;
-  }
 
   // Exact strategies go through the FO+LIN pipeline; their results are
   // memoizable, keyed on the printed parse plus the output variable list
@@ -131,14 +99,14 @@ Result<VolumeAnswer> VolumeEngine::volume(
             "hit-and-run requires a single convex cell");
       }
       auto r = hit_and_run_volume(Polyhedron(live[0]),
-                                  options.hit_and_run_samples,
+                                  kHitAndRunSamples,
                                   options.seed);
       if (!r.is_ok()) return r.status();
       answer.estimate = r.value().volume;
       return answer;
     }
     case VolumeStrategy::kMonteCarlo:
-      break;  // handled above
+      break;  // refused above
   }
   if (!exact.is_ok()) return exact.status();
   if (cache_key) cache_->store(*cache_key, exact.value());

@@ -19,7 +19,7 @@ enum class VolumeStrategy {
   kAuto,                // exact Theorem-3 sweep (default)
   kInclusionExclusion,  // exact, exponential in cell count
   kVariableIndependent, // exact, requires the [11] box shape
-  kMonteCarlo,          // Theorem-4 sampling (eps, delta)
+  kMonteCarlo,          // Theorem-4 sampling (eps, delta); Session only
   kEllipsoidBounds,     // Lowner-John relative bounds (convex only)
   kTrivialHalf,         // Proposition-4 trivial approximation
   kHitAndRun,           // DFK multiphase hit-and-run (convex only)
@@ -46,23 +46,20 @@ struct VolumeAnswer {
   }
 };
 
+/// Samples per phase of the kHitAndRun estimator; the planner prices
+/// hit-and-run at the same count.
+inline constexpr std::size_t kHitAndRunSamples = 4000;
+
 /// Options for volume computation. One struct for every strategy; the
 /// strategy-specific knobs are ignored by the strategies that do not
 /// read them.
 struct VolumeOptions {
   VolumeStrategy strategy = VolumeStrategy::kAuto;
-  double epsilon = 0.05;
-  double delta = 0.05;
-  double vc_dim = 4.0;
+  /// Seed of the kHitAndRun random walk.
   std::uint64_t seed = 1;
   /// Restrict to [0,1]^k first (the paper's VOL_I). Exact strategies
   /// require the query to be bounded when this is false.
   bool clip_to_unit_box = false;
-  /// Caps the Monte-Carlo sample size below the Blumer bound (0 = use
-  /// the bound). A cap that bites widens the effective epsilon.
-  std::size_t max_mc_samples = 0;
-  /// Samples per phase of the kHitAndRun estimator.
-  std::size_t hit_and_run_samples = 4000;
   /// Cooperative cancellation / deadline, polled in every strategy's
   /// hot loop. Not owned; may be null.
   const CancelToken* cancel = nullptr;
@@ -95,6 +92,8 @@ class VolumeEngine {
   QueryEngine& queries() { return queries_; }
 
   /// Volume of the query's denotation over the named output variables.
+  /// kMonteCarlo is kInvalidArgument here: Theorem-4 sampling runs only
+  /// through Session, which sizes the sample and assembles the bars.
   Result<VolumeAnswer> volume(const ParsedQuery& query,
                               const std::vector<std::string>& output_vars,
                               const VolumeOptions& options = {});

@@ -28,7 +28,11 @@ int VarTable::find(const std::string& name) const {
 std::string VarTable::name_of(std::size_t i) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (i < names_.size()) return names_[i];
-  return "x" + std::to_string(i);
+  // Appended: GCC 12 at -O3 reports a false -Wrestrict on
+  // "x" + std::to_string(i).
+  std::string name = "x";
+  name += std::to_string(i);
+  return name;
 }
 
 namespace {

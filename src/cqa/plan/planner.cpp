@@ -106,6 +106,25 @@ FormulaStats extract_stats(const FormulaPtr& analysis,
   return s;
 }
 
+Result<std::size_t> mc_sample_size(const Budget& budget,
+                                   std::optional<double> vc_dim,
+                                   std::size_t cap) {
+  const double d = vc_dim.value_or(kDefaultVcDim);
+  if (!(budget.epsilon > 0.0 && budget.epsilon < 1.0) ||
+      !(budget.delta > 0.0 && budget.delta < 1.0) ||
+      !(std::isfinite(d) && d >= 0.0)) {
+    return Status::invalid(
+        "Monte-Carlo sizing needs epsilon and delta in (0, 1) and a "
+        "finite, non-negative VC dimension");
+  }
+  const std::size_t m = blumer_sample_bound(budget.epsilon, budget.delta, d);
+  if (m == std::numeric_limits<std::size_t>::max()) {
+    return Status::resource_exhausted(
+        "Monte-Carlo sample size M does not fit std::size_t");
+  }
+  return cap > 0 ? std::min(m, cap) : m;
+}
+
 double hoeffding_epsilon(double delta, std::size_t n) {
   if (n == 0) return 0.5;
   const double d = std::min(std::max(delta, 1e-12), 0.999);
@@ -171,10 +190,8 @@ PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
                 model.deadline_safety
           : std::numeric_limits<double>::infinity();
 
-  const std::size_t blumer =
-      blumer_sample_bound(std::min(std::max(budget.epsilon, 1e-6), 0.999),
-                          std::min(std::max(budget.delta, 1e-9), 0.999),
-                          stats.vc_dim);
+  const Result<std::size_t> sized = mc_sample_size(budget, stats.vc_dim);
+  const std::size_t blumer = sized.is_ok() ? sized.value() : 0;
 
   // --- Price every candidate -----------------------------------------
   PlannedStrategy exact;
@@ -188,25 +205,27 @@ PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
 
   PlannedStrategy mc;
   mc.strategy = VolumeStrategy::kMonteCarlo;
-  mc.feasible = stats.quantifier_free;
+  mc.feasible = stats.quantifier_free && sized.is_ok();
   mc.err = budget.epsilon;
   mc.meets_accuracy = mc.feasible;
   mc.predicted_ns = mc_cost_ns(stats, model, blumer);
-  mc.note = mc.feasible
-                ? "M=" + std::to_string(blumer) + " " +
-                      ns_note(mc.predicted_ns)
-                : "quantified after inlining: no membership test";
+  if (!stats.quantifier_free) {
+    mc.note = "quantified after inlining: no membership test";
+  } else if (!sized.is_ok()) {
+    mc.note = sized.status().message();
+  } else {
+    mc.note = "M=" + std::to_string(blumer) + " " + ns_note(mc.predicted_ns);
+  }
 
   PlannedStrategy har;
   har.strategy = VolumeStrategy::kHitAndRun;
-  constexpr std::size_t kHarSamples = 4000;
   har.feasible =
       stats.linear && stats.cell_estimate == 1 && stats.dimension >= 2;
   // Hit-and-run carries no (eps, delta) certificate; treat its error as
   // a mixing-limited heuristic so it only wins under loose budgets.
   har.err = 0.1;
   har.meets_accuracy = har.feasible && har.err <= budget.epsilon;
-  har.predicted_ns = har_cost_ns(stats, model, kHarSamples);
+  har.predicted_ns = har_cost_ns(stats, model, kHitAndRunSamples);
   har.note = har.feasible ? ns_note(har.predicted_ns)
                           : "needs a single convex cell";
 
@@ -268,6 +287,7 @@ PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
   d.rationale = budget.has_deadline()
                     ? "deadline too tight for any sampling: trivial 1/2"
                     : "no feasible strategy for this query: trivial 1/2";
+  if (!mc.feasible) d.rationale += " (mc: " + mc.note + ")";
   return d;
 }
 

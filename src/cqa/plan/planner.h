@@ -23,6 +23,7 @@
 #define CQA_PLAN_PLANNER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@ struct Budget {
   bool has_deadline() const { return deadline_ms >= 0; }
 };
 
+/// The VC dimension a Monte-Carlo sample is sized with when neither the
+/// caller nor the planner supplies one.
+inline constexpr double kDefaultVcDim = 4.0;
+
 /// Structural statistics of one query, extracted before any engine runs.
 struct FormulaStats {
   std::size_t dimension = 0;      // |output_vars|
@@ -55,7 +60,7 @@ struct FormulaStats {
   bool linear = false;            // FO+LIN after inlining (exact eligible)
   bool quantifier_free = false;   // membership-testable (MC eligible)
   std::size_t cell_estimate = 1;  // DNF-size estimate of the cell count
-  double vc_dim = 4.0;            // capped Goldberg-Jerrum bound
+  double vc_dim = kDefaultVcDim;  // capped Goldberg-Jerrum bound
 };
 
 /// Calibration constants of the cost model (nanoseconds). Defaults were
@@ -103,6 +108,17 @@ std::size_t dnf_size_estimate(const FormulaPtr& f, std::size_t cap = 100000);
 FormulaStats extract_stats(const FormulaPtr& analysis,
                            std::size_t dimension, std::size_t quantifiers,
                            const CostModel& model = {});
+
+/// Theorem 4's sample size M: the Blumer et al. bound at
+/// (budget.epsilon, budget.delta, vc_dim), with vc_dim defaulting to
+/// kDefaultVcDim, then capped at `cap` (0 = uncapped). The one place M is
+/// sized: the planner, a pinned Monte-Carlo request and the exact -> MC
+/// quota fallback all call it. epsilon or delta outside (0, 1), or a
+/// vc_dim that is negative or not finite, is kInvalidArgument; a bound
+/// that does not fit std::size_t is kResourceExhausted.
+Result<std::size_t> mc_sample_size(const Budget& budget,
+                                   std::optional<double> vc_dim,
+                                   std::size_t cap = 0);
 
 /// Two-sided Hoeffding error half-width for n Bernoulli samples at
 /// confidence 1 - delta: sqrt(ln(2/delta) / 2n). Returns 0.5 for n == 0.

@@ -1,6 +1,7 @@
 // Chunked Theorem-4 Monte-Carlo estimation: the one estimator behind
-// every Monte-Carlo volume (Session on its pool, VolumeEngine and
-// mc_volume serially).
+// every Monte-Carlo volume. Session runs it on its pool, with M from
+// mc_sample_size (cqa/plan/planner.h); benches and tests also drive it
+// directly, serially or on a pool.
 //
 // The M-point sample is partitioned into fixed-size chunks; chunk c
 // draws its points from Xoshiro(stream_seed(seed, c)) -- a counter-based
@@ -53,8 +54,8 @@ class ParallelSampler {
   /// `phi` is inlined against `db` and lowered into a CompiledMembership
   /// plan once, up front (failure surfaces from estimate()).
   /// `element_vars` are the volume variables y (the sample lives in
-  /// [0,1]^|y|); `sample_size` is M, from blumer_sample_bound or any
-  /// size the caller wants. Plan compilation charges
+  /// [0,1]^|y|); `sample_size` is M, from mc_sample_size or any size
+  /// the caller wants. Plan compilation charges
   /// `meter` when given; a quota trip (or the kCompileMembership chaos
   /// fault) surfaces as kResourceExhausted, which sessions degrade down
   /// the guard ladder.

@@ -1,5 +1,7 @@
 #include "cqa/runtime/request.h"
 
+#include <cmath>
+
 namespace cqa {
 
 namespace {
@@ -33,8 +35,9 @@ Status validate_request(const Request& request) {
     return Status::invalid(
         "aggregate requests take exactly one output variable");
   }
-  if (request.vc_dim && !(*request.vc_dim > 0.0)) {
-    return Status::invalid("vc_dim override must be positive");
+  if (request.vc_dim &&
+      !(std::isfinite(*request.vc_dim) && *request.vc_dim > 0.0)) {
+    return Status::invalid("vc_dim override must be positive and finite");
   }
   return Status::ok();
 }

@@ -6,9 +6,10 @@
 // Session::submit(Request) enqueues one and returns a serve::Ticket.
 //
 // Requests are validated up front (validate_request): an empty query,
-// an epsilon/delta outside (0, 1), or a volume-kind request with no
-// output variables comes back as kInvalidArgument before any engine
-// runs, instead of failing deep inside QE.
+// an epsilon/delta outside (0, 1), a volume-kind request with no
+// output variables, or a vc_dim that is not positive and finite comes
+// back as kInvalidArgument before any engine runs, instead of failing
+// deep inside QE.
 //
 // The fluent RequestBuilder exists so call sites stop hand-initializing
 // aggregate members:
@@ -72,12 +73,14 @@ struct Request {
   /// Volume only: bypass the planner and force one strategy.
   std::optional<VolumeStrategy> strategy;
   std::uint64_t seed = 1;
-  /// Volume only: override the VC-dimension bound fed to the Blumer
-  /// sample-size formula when a strategy is pinned (the planner derives
-  /// its own bound from the formula).
+  /// Volume only: the VC dimension d fed to mc_sample_size, positive
+  /// and finite. It replaces the planner's Goldberg-Jerrum bound on a
+  /// planner-routed request (and so its exact -> MC quota fallback), and
+  /// kDefaultVcDim on a pinned kMonteCarlo request.
   std::optional<double> vc_dim;
-  /// Volume only: cap the Monte-Carlo sample below the Blumer bound
-  /// (0 = use the bound). A cap that bites widens the effective epsilon.
+  /// Volume only: cap on the sample of a pinned kMonteCarlo request
+  /// (0 = the full Blumer bound). The planner and the exact -> MC quota
+  /// fallback ignore it. A cap that bites widens the effective epsilon.
   std::size_t max_mc_samples = 0;
   /// Scheduling lane for submit(); run() ignores it.
   Priority priority = Priority::kNormal;
@@ -141,7 +144,7 @@ inline Answer degraded_half_answer() {
 
 /// Structural validation, run before any engine: empty query, epsilon
 /// or delta outside (0, 1), volume-kind request without output
-/// variables, aggregate arity. kInvalidArgument with a message naming
+/// variables, aggregate arity, a vc_dim that is not positive and finite. kInvalidArgument with a message naming
 /// the field, kOk otherwise.
 Status validate_request(const Request& request);
 

@@ -7,7 +7,6 @@
 
 #include "cqa/runtime/parallel_sampler.h"
 #include "cqa/serve/scheduler.h"
-#include "cqa/vc/sample_bounds.h"
 
 namespace cqa {
 
@@ -70,25 +69,6 @@ VolumeAnswer mc_volume_answer(const McPartial& p, double target_epsilon,
   v.points_evaluated = p.evaluated;
   v.points_requested = p.requested;
   return v;
-}
-
-// Sample size of a pinned Monte-Carlo request: the Blumer bound at its
-// (epsilon, delta, vc_dim), capped by max_mc_samples.
-std::size_t mc_sample_size(const Request& r) {
-  const double vc_dim = r.vc_dim.value_or(VolumeOptions{}.vc_dim);
-  std::size_t m =
-      blumer_sample_bound(r.budget.epsilon, r.budget.delta, vc_dim);
-  if (r.max_mc_samples > 0) m = std::min(m, r.max_mc_samples);
-  return m;
-}
-
-// A pinned Monte-Carlo request that expired before its first sample
-// (inside the membership rewrite): the last rung, reporting the same
-// points_requested = M as one that expired mid-sampling.
-VolumeAnswer mc_unstarted_volume(const Request& r) {
-  McPartial none;
-  none.requested = mc_sample_size(r);
-  return mc_volume_answer(none, r.budget.epsilon, r.budget.delta);
 }
 
 }  // namespace
@@ -366,10 +346,12 @@ Result<Answer> Session::run_planned_volume(const Request& request,
         answer.volume = v.value();
       } else if (v.status().code() == StatusCode::kResourceExhausted &&
                  analysis->is_quantifier_free()) {
-        const std::size_t m = blumer_sample_bound(
-            request.budget.epsilon, request.budget.delta, stats.vc_dim);
-        auto mc = pooled_monte_carlo(request, query.formula(), analysis, m,
-                                     request.budget.epsilon, token, meter);
+        auto m = mc_sample_size(request.budget, stats.vc_dim);
+        auto mc = m.is_ok()
+                      ? pooled_monte_carlo(request, query.formula(), analysis,
+                                           m.value(), request.budget.epsilon,
+                                           token, meter)
+                      : Result<VolumeAnswer>(m.status());
         if (mc.is_ok()) {
           answer.volume = mc.value();
           answer.guard.rung = rung_of(answer.volume);
@@ -403,23 +385,30 @@ Result<VolumeAnswer> Session::forced_volume(const Request& request,
                                             CancelToken* token,
                                             guard::WorkMeter* meter) {
   if (strategy == VolumeStrategy::kMonteCarlo) {
+    // A pinned request keeps its max_mc_samples cap; an M that does not
+    // fit std::size_t is kResourceExhausted, which run_volume degrades.
+    auto m = mc_sample_size(request.budget, request.vc_dim,
+                            request.max_mc_samples);
+    if (!m.is_ok()) return m.status();
     auto membership = queries().rewrite(query, {token, meter});
     if (!membership.is_ok()) {
       // Expiry or a quota trip inside the QE rewrite degrades to the
-      // last rung, the same as expiry inside the sampling itself.
+      // last rung, the same as expiry inside the sampling itself, with
+      // the same points_requested = M.
       if (is_degradable(membership.status())) {
-        return mc_unstarted_volume(request);
+        McPartial none;
+        none.requested = m.value();
+        return mc_volume_answer(none, request.budget.epsilon,
+                                request.budget.delta);
       }
       return membership.status();
     }
     return pooled_monte_carlo(request, query.formula(), membership.value(),
-                              mc_sample_size(request),
-                              request.budget.epsilon, token, meter);
+                              m.value(), request.budget.epsilon, token,
+                              meter);
   }
   return volumes_.volume(query, request.output_vars,
                          {.strategy = strategy,
-                          .epsilon = request.budget.epsilon,
-                          .delta = request.budget.delta,
                           .seed = request.seed,
                           .cancel = token,
                           .meter = meter});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "cqa/util/status.h"
 
@@ -15,7 +16,13 @@ std::size_t blumer_sample_bound(double epsilon, double delta,
   const double log2e = std::log2(2.0 / delta);
   const double a = (4.0 / epsilon) * log2e;
   const double b = (8.0 * vc_dimension / epsilon) * std::log2(13.0 / epsilon);
-  return static_cast<std::size_t>(std::floor(std::max(a, b))) + 1;
+  const double m = std::floor(std::max(a, b));
+  // SIZE_MAX rounds up to a power of two as a double. A bound at or
+  // above it (or NaN) saturates instead of taking an undefined
+  // float-to-integer cast.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (!(m < static_cast<double>(kMax))) return kMax;
+  return static_cast<std::size_t>(m) + 1;
 }
 
 double goldberg_jerrum_constant(std::size_t k, std::size_t p, std::size_t q,

@@ -17,7 +17,9 @@
 
 namespace cqa {
 
-/// Smallest integer M satisfying the Blumer et al. bound.
+/// Smallest integer M satisfying the Blumer et al. bound. A bound that
+/// does not fit std::size_t saturates at SIZE_MAX, which no
+/// representable bound reaches.
 std::size_t blumer_sample_bound(double epsilon, double delta,
                                 double vc_dimension);
 

@@ -10,6 +10,7 @@
 #include "cqa/geometry/polytope_volume.h"
 #include "cqa/logic/parser.h"
 #include "cqa/runtime/parallel_sampler.h"
+#include "cqa/vc/sample_bounds.h"
 #include "cqa/volume/semilinear_volume.h"
 
 namespace cqa {
@@ -37,16 +38,6 @@ TEST(Random, UniformMoments) {
   EXPECT_NEAR(sumsq / n, 1.0 / 3.0, 0.02);
 }
 
-TEST(Random, HaltonLowDiscrepancy) {
-  // First few base-2/3 Halton values.
-  auto p0 = halton_point(0, 2);
-  EXPECT_NEAR(p0[0], 0.5, 1e-12);
-  EXPECT_NEAR(p0[1], 1.0 / 3.0, 1e-12);
-  auto p1 = halton_point(1, 2);
-  EXPECT_NEAR(p1[0], 0.25, 1e-12);
-  EXPECT_NEAR(p1[1], 2.0 / 3.0, 1e-12);
-}
-
 TEST(MonteCarlo, TriangleVolume) {
   Database db;
   VarTable vars;
@@ -54,8 +45,9 @@ TEST(MonteCarlo, TriangleVolume) {
                .value_or_die();
   std::size_t x = static_cast<std::size_t>(vars.find("x"));
   std::size_t y = static_cast<std::size_t>(vars.find("y"));
-  auto v = mc_volume(db, f, {x, y}, {}, 0.05, 0.05, 3.0, 1234);
-  EXPECT_NEAR(v.value_or_die(), 0.5, 0.05);
+  ParallelSampler est(&db, f, {x, y}, blumer_sample_bound(0.05, 0.05, 3.0),
+                      1234);
+  EXPECT_NEAR(est.estimate({}).value_or_die(), 0.5, 0.05);
 }
 
 TEST(MonteCarlo, PolynomialDisk) {
@@ -65,8 +57,9 @@ TEST(MonteCarlo, PolynomialDisk) {
   std::size_t x = static_cast<std::size_t>(vars.find("x"));
   std::size_t y = static_cast<std::size_t>(vars.find("y"));
   // Quarter disk in [0,1]^2: pi/4.
-  auto v = mc_volume(db, f, {x, y}, {}, 0.03, 0.05, 3.0, 99);
-  EXPECT_NEAR(v.value_or_die(), M_PI / 4.0, 0.03);
+  ParallelSampler est(&db, f, {x, y}, blumer_sample_bound(0.03, 0.05, 3.0),
+                      99);
+  EXPECT_NEAR(est.estimate({}).value_or_die(), M_PI / 4.0, 0.03);
 }
 
 TEST(MonteCarlo, UniformOverParameters) {
@@ -89,25 +82,19 @@ TEST(MonteCarlo, UniformOverParameters) {
   EXPECT_LT(sup_err, 0.05);
 }
 
-TEST(MonteCarlo, HaltonConvergesFaster) {
+TEST(MonteCarlo, CountHitsRejectsParameterOutsideVariableRange) {
+  // The reference interpreter refuses a parameter index the formula
+  // cannot bind instead of ignoring it, as CompiledMembership::bind does.
   Database db;
   VarTable vars;
   auto f = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
   std::size_t x = static_cast<std::size_t>(vars.find("x"));
   std::size_t y = static_cast<std::size_t>(vars.find("y"));
-  double h = halton_volume(db, f, {x, y}, {}, 4096).value_or_die();
-  EXPECT_NEAR(h, M_PI / 4.0, 0.01);
-}
-
-TEST(MonteCarlo, HaltonRejectsParameterOutsideVariableRange) {
-  // Halton counts through the reference mc_count_hits, which refuses a
-  // parameter index the formula cannot bind instead of ignoring it.
-  Database db;
-  VarTable vars;
-  auto f = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
-  std::size_t x = static_cast<std::size_t>(vars.find("x"));
-  std::size_t y = static_cast<std::size_t>(vars.find("y"));
-  auto h = halton_volume(db, f, {x, y}, {{7, Rational(1, 2)}}, 64);
+  const std::vector<double> points[] = {{0.25, 0.5}, {0.75, 0.75}};
+  auto ok = mc_count_hits(f, {x, y}, {}, points, 2);
+  ASSERT_TRUE(ok.is_ok());
+  EXPECT_EQ(ok.value(), 1u);
+  auto h = mc_count_hits(f, {x, y}, {{7, Rational(1, 2)}}, points, 2);
   ASSERT_FALSE(h.is_ok());
   EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument);
 }
@@ -116,8 +103,8 @@ TEST(MonteCarlo, RejectsQuantified) {
   Database db;
   VarTable vars;
   auto f = parse_formula("E z. x < z & z < y", &vars).value_or_die();
-  auto v = mc_volume(db, f, {0, 1}, {}, 0.1, 0.1, 2.0, 1);
-  EXPECT_FALSE(v.is_ok());
+  ParallelSampler est(&db, f, {0, 1}, blumer_sample_bound(0.1, 0.1, 2.0), 1);
+  EXPECT_FALSE(est.estimate({}).is_ok());
 }
 
 TEST(Ellipsoid, UnitBallVolumes) {

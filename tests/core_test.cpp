@@ -5,6 +5,7 @@
 #include "cqa/core/query_engine.h"
 #include "cqa/core/volume_engine.h"
 #include "cqa/geometry/polytope_volume.h"
+#include "cqa/runtime/session.h"
 
 namespace cqa {
 namespace {
@@ -101,26 +102,37 @@ TEST(VolumeEngine, ExactStrategiesAgree) {
 }
 
 TEST(VolumeEngine, MonteCarloWithinEpsilon) {
+  // VolumeEngine refuses Monte-Carlo: Theorem-4 sampling runs through
+  // Session, whose pinned answer lands within epsilon of pi/4.
   ConstraintDatabase db;
   VolumeEngine v(&db);
   VolumeOptions mc;
   mc.strategy = VolumeStrategy::kMonteCarlo;
-  mc.epsilon = 0.04;
-  mc.vc_dim = 3.0;
-  auto a = v.volume("x^2 + y^2 <= 1", {"x", "y"}, mc).value_or_die();
+  auto refused = v.volume("x^2 + y^2 <= 1", {"x", "y"}, mc);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  Session session(&db, SessionOptions{.threads = 2});
+  auto r = session.run(Request::volume("x^2 + y^2 <= 1")
+                           .vars({"x", "y"})
+                           .strategy(VolumeStrategy::kMonteCarlo)
+                           .epsilon(0.04)
+                           .vc_dim(3.0));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  const VolumeAnswer& a = r.value().volume;
   EXPECT_NEAR(*a.estimate, 0.7853, 0.04);
   EXPECT_LT(*a.lower, *a.estimate);
   EXPECT_GT(*a.upper, *a.estimate);
 }
 
 TEST(VolumeEngine, MonteCarloOnUnknownRelationIsAnError) {
-  // The Monte-Carlo path inlines through the rewrite pipeline, so an
-  // unknown relation is a typed error, not an abort.
+  // Monte-Carlo inlines through the rewrite pipeline, so an unknown
+  // relation is a typed error, not an abort.
   ConstraintDatabase db;
-  VolumeEngine v(&db);
-  VolumeOptions mc;
-  mc.strategy = VolumeStrategy::kMonteCarlo;
-  auto a = v.volume("Foo(x, y)", {"x", "y"}, mc);
+  Session session(&db, SessionOptions{.threads = 2});
+  auto a = session.run(Request::volume("Foo(x, y)")
+                           .vars({"x", "y"})
+                           .strategy(VolumeStrategy::kMonteCarlo));
   ASSERT_FALSE(a.is_ok());
   EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
 }

@@ -9,6 +9,7 @@
 #include "cqa/core/constraint_database.h"
 #include "cqa/core/query_engine.h"
 #include "cqa/core/volume_engine.h"
+#include "cqa/runtime/session.h"
 #include "cqa/volume/semilinear_volume.h"
 
 namespace cqa {
@@ -112,13 +113,15 @@ TEST_P(IntegrationProperty, MonteCarloBracketsExact) {
   clip.clip_to_unit_box = true;
   auto exact =
       *vol.volume("A(x, y)", {"x", "y"}, clip).value_or_die().exact;
-  VolumeOptions mc;
-  mc.strategy = VolumeStrategy::kMonteCarlo;
-  mc.epsilon = 0.05;
-  mc.vc_dim = 4.0;
-  mc.seed = GetParam();
-  auto est = vol.volume("A(x, y)", {"x", "y"}, mc).value_or_die();
-  EXPECT_NEAR(*est.estimate, exact.to_double(), 0.05)
+  Session session(&db, SessionOptions{.threads = 2});
+  auto est = session.run(Request::volume("A(x, y)")
+                             .vars({"x", "y"})
+                             .strategy(VolumeStrategy::kMonteCarlo)
+                             .epsilon(0.05)
+                             .vc_dim(4.0)
+                             .seed(GetParam()));
+  ASSERT_TRUE(est.is_ok()) << est.status().to_string();
+  EXPECT_NEAR(*est.value().volume.estimate, exact.to_double(), 0.05)
       << "seed " << GetParam();
 }
 

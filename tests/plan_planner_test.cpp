@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cqa/logic/parser.h"
+#include "cqa/vc/sample_bounds.h"
 
 namespace cqa {
 namespace {
@@ -195,6 +196,47 @@ TEST(PlannerTest, HoeffdingEpsilonShrinksWithSamples) {
   EXPECT_LT(e2, 0.01);
   EXPECT_NEAR(hoeffding_epsilon(0.05, 4000) * 2.0,
               hoeffding_epsilon(0.05, 1000), 1e-12);
+}
+
+TEST(PlannerTest, McSampleSizeIsTheBlumerBoundWithTypedFailures) {
+  Budget b;
+  b.epsilon = 0.05;
+  b.delta = 0.05;
+  EXPECT_EQ(mc_sample_size(b, std::nullopt).value(),
+            blumer_sample_bound(0.05, 0.05, kDefaultVcDim));
+  EXPECT_EQ(mc_sample_size(b, 3.0).value(),
+            blumer_sample_bound(0.05, 0.05, 3.0));
+  EXPECT_EQ(mc_sample_size(b, 3.0, 100).value(), 100u);
+  EXPECT_EQ(mc_sample_size(b, 3.0, 1u << 30).value(),
+            blumer_sample_bound(0.05, 0.05, 3.0));
+
+  // Too large for std::size_t: a typed status, never a wrapped M.
+  EXPECT_EQ(mc_sample_size(b, 1e300).status().code(),
+            StatusCode::kResourceExhausted);
+  Budget tiny = b;
+  tiny.epsilon = 1e-300;
+  EXPECT_EQ(mc_sample_size(tiny, std::nullopt).status().code(),
+            StatusCode::kResourceExhausted);
+
+  // Outside the bound's domain.
+  EXPECT_EQ(mc_sample_size(b, -1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  Budget wide = b;
+  wide.epsilon = 1.0;
+  EXPECT_EQ(mc_sample_size(wide, std::nullopt).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(PlannerTest, UnrepresentableSampleSizeMakesMonteCarloInfeasible) {
+  FormulaStats s = nonlinear_stats();
+  s.vc_dim = 1e300;
+  Budget b;
+  PlanDecision d = plan_volume(s, b);
+  EXPECT_EQ(d.chosen, VolumeStrategy::kTrivialHalf);
+  EXPECT_EQ(d.mc_samples, 0u);
+  EXPECT_FALSE(d.considered[1].feasible);
+  EXPECT_NE(d.rationale.find("does not fit"), std::string::npos)
+      << d.rationale;
 }
 
 TEST(PlannerTest, PlanToStringMentionsEveryCandidate) {

@@ -58,7 +58,9 @@ TEST(EvalCache, CountsIntoMetricsRegistry) {
   EXPECT_EQ(metrics.counter_value("cache_misses_total"), 1u);
   // LRU bound produces evictions, visible in the registry.
   for (int i = 0; i < 16; ++i) {
-    cache.store_volume("v" + std::to_string(i), Rational(i));
+    std::string key = "v";
+    key += std::to_string(i);
+    cache.store_volume(key, Rational(i));
   }
   EXPECT_GE(metrics.counter_value("cache_evictions_total"), 1u);
 }

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,41 +186,121 @@ TEST(SessionRunTest, ForcedMonteCarloOnQuantifiedQuery) {
   EXPECT_NEAR(*a.value().volume.estimate, 0.5, 0.06);
 }
 
-TEST(SessionRunTest, ForcedMonteCarloMatchesVolumeEngineBitForBit) {
-  // One Theorem-4 estimator: VolumeEngine's serial Monte-Carlo path and
-  // Session's pooled one sample the same membership rewrite with the
-  // same chunked stream, so equal (seed, eps, delta, vc_dim) give equal
-  // bits -- for a polynomial query and for a quantified FO+LIN one.
-  for (const char* query :
-       {"x^2 + y^2 <= 1", "E z. (0 <= z & z <= x & 0 <= y & y <= 1)"}) {
-    ConstraintDatabase db;
-    Session session(&db, two_threads());
-    auto run = session.run(Request::volume(query)
+TEST(SessionRunTest, ForcedMonteCarloOnQuantifiedFoLinIsWithinEpsilon) {
+  // A quantified FO+LIN query sampled through its QE rewrite: the set is
+  // x >= 0 & 0 <= y <= 1, which covers the whole unit box.
+  ConstraintDatabase db;
+  Session session(&db, two_threads());
+  auto run = session.run(
+      Request::volume("E z. (0 <= z & z <= x & 0 <= y & y <= 1)")
+          .vars({"x", "y"})
+          .strategy(VolumeStrategy::kMonteCarlo)
+          .epsilon(0.03)
+          .vc_dim(3.0)
+          .seed(77));
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+  const VolumeAnswer& v = run.value().volume;
+  EXPECT_EQ(run.value().status, AnswerStatus::kOk);
+  ASSERT_TRUE(v.estimate.has_value());
+  EXPECT_NEAR(*v.estimate, 1.0, 0.03);
+  EXPECT_EQ(v.points_evaluated, v.points_requested);
+}
+
+TEST(SessionRunTest, EveryMonteCarloPathSizesMWithOneFunction) {
+  // The planner's M, a pinned request's M (capped and uncapped) and the
+  // exact -> MC quota fallback's M are all mc_sample_size's.
+  ConstraintDatabase db;
+  Session session(&db, two_threads());
+
+  Request planned = volume_request(kDisk);
+  auto p = session.run(planned);
+  ASSERT_TRUE(p.is_ok()) << p.status().to_string();
+  ASSERT_TRUE(p.value().plan.has_value());
+  ASSERT_EQ(p.value().plan->chosen, VolumeStrategy::kMonteCarlo);
+  const std::size_t planner_m =
+      mc_sample_size(planned.budget, p.value().plan->stats.vc_dim).value();
+  EXPECT_EQ(p.value().plan->mc_samples, planner_m);
+  EXPECT_EQ(p.value().volume.points_requested, planner_m);
+
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{2000}}) {
+    for (const std::optional<double> vc : {std::optional<double>(),
+                                           std::optional<double>(3.0)}) {
+      Request pinned = volume_request(kDisk);
+      pinned.strategy = VolumeStrategy::kMonteCarlo;
+      pinned.vc_dim = vc;
+      pinned.max_mc_samples = cap;
+      auto a = session.run(pinned);
+      ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+      EXPECT_EQ(a.value().volume.points_requested,
+                mc_sample_size(pinned.budget, vc, cap).value())
+          << "cap " << cap;
+    }
+  }
+
+  // Two overlapping cells: a one-section ceiling trips the sweep.
+  Request exact = volume_request(
+      "(x >= 0 & y >= 0 & x + y <= 1) |"
+      " (x >= 1/4 & x <= 3/4 & y >= 1/4 & y <= 3/4)");
+  exact.budget.quota = guard::ResourceQuota::unlimited();
+  exact.budget.quota.max_sweep_sections = 1;
+  auto e = session.run(exact);
+  ASSERT_TRUE(e.is_ok()) << e.status().to_string();
+  ASSERT_TRUE(e.value().plan.has_value());
+  EXPECT_EQ(e.value().guard.rung, guard::Rung::kMonteCarlo);
+  EXPECT_EQ(e.value().volume.points_requested,
+            mc_sample_size(exact.budget, e.value().plan->stats.vc_dim)
+                .value());
+}
+
+TEST(SessionRunTest, UnrepresentableSampleSizeIsNeverACertifiedAnswer) {
+  // A Blumer bound past std::size_t is kResourceExhausted: a pinned
+  // request degrades to trivial 1/2 with bars [0, 1], and the planner
+  // rules Monte-Carlo out. Neither answers kOk from a one-point sample.
+  ConstraintDatabase db;
+  Session session(&db, two_threads());
+  const char* kQuarterDisk = "x^2 + y^2 <= 1";
+  const Request pinned[] = {
+      Request::volume(kQuarterDisk)
+          .vars({"x", "y"})
+          .strategy(VolumeStrategy::kMonteCarlo)
+          .vc_dim(1e300),
+      Request::volume(kQuarterDisk)
+          .vars({"x", "y"})
+          .strategy(VolumeStrategy::kMonteCarlo)
+          .epsilon(1e-300),
+  };
+  for (const Request& req : pinned) {
+    auto a = session.run(req);
+    ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+    const Answer& ans = a.value();
+    EXPECT_EQ(ans.status, AnswerStatus::kDegraded);
+    EXPECT_EQ(ans.guard.rung, guard::Rung::kTrivialHalf);
+    EXPECT_EQ(*ans.volume.estimate, 0.5);
+    EXPECT_EQ(*ans.volume.lower, 0.0);
+    EXPECT_EQ(*ans.volume.upper, 1.0);
+    EXPECT_NE(ans.volume.points_requested, 1u);
+  }
+
+  auto planned = session.run(
+      Request::volume(kQuarterDisk).vars({"x", "y"}).vc_dim(1e300));
+  ASSERT_TRUE(planned.is_ok()) << planned.status().to_string();
+  const Answer& ans = planned.value();
+  ASSERT_TRUE(ans.plan.has_value());
+  EXPECT_EQ(ans.plan->chosen, VolumeStrategy::kTrivialHalf);
+  EXPECT_EQ(ans.status, AnswerStatus::kDegraded);
+  EXPECT_NE(ans.volume.points_requested, 1u);
+  EXPECT_NE(ans.plan->rationale.find("does not fit"), std::string::npos)
+      << ans.plan->rationale;
+
+  // A non-finite override never reaches sizing.
+  for (const double vc : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    auto bad = session.run(Request::volume(kQuarterDisk)
                                .vars({"x", "y"})
                                .strategy(VolumeStrategy::kMonteCarlo)
-                               .epsilon(0.03)
-                               .delta(0.05)
-                               .vc_dim(3.0)
-                               .seed(77));
-    ASSERT_TRUE(run.is_ok()) << query << ": " << run.status().to_string();
-    VolumeEngine engine(&db);
-    VolumeOptions vo;
-    vo.strategy = VolumeStrategy::kMonteCarlo;
-    vo.epsilon = 0.03;
-    vo.delta = 0.05;
-    vo.vc_dim = 3.0;
-    vo.seed = 77;
-    auto direct = engine.volume(query, {"x", "y"}, vo);
-    ASSERT_TRUE(direct.is_ok())
-        << query << ": " << direct.status().to_string();
-    const VolumeAnswer& s = run.value().volume;
-    const VolumeAnswer& e = direct.value();
-    ASSERT_TRUE(s.estimate.has_value() && e.estimate.has_value());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(*s.estimate),
-              std::bit_cast<std::uint64_t>(*e.estimate))
-        << query;
-    EXPECT_EQ(s.points_requested, e.points_requested) << query;
-    EXPECT_EQ(s.points_evaluated, e.points_evaluated) << query;
+                               .vc_dim(vc));
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -385,7 +465,8 @@ TEST(SessionRunTest, ConcurrentEvictionStress) {
       }
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (i * 31 + t * 17) % kKeySpace;
-        const std::string key = "k" + std::to_string(k);
+        std::string key = "k";
+        key += std::to_string(k);
         if (i % 3 == 0) {
           cache.store_volume(key, Rational(k, 7));
         } else if (auto hit = cache.lookup_volume(key)) {

@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -215,6 +217,19 @@ TEST(RequestCodec, RoundTripsEveryAnswerAffectingField) {
   EXPECT_EQ(r.bindings[0].second, Rational(9, 10));
   // A cancel token cannot cross a process boundary.
   EXPECT_EQ(r.cancel, nullptr);
+}
+
+TEST(RequestCodec, NonFiniteVcDimDecodesAndFailsValidation) {
+  // The router validates every decoded request, so a non-finite VC
+  // dimension from the wire is refused before it can size a sample.
+  Request in = full_request();
+  in.vc_dim = std::numeric_limits<double>::infinity();
+  auto out = served::decode_request(served::encode_request(in));
+  ASSERT_TRUE(out.is_ok());
+  ASSERT_TRUE(out.value().vc_dim.has_value());
+  EXPECT_TRUE(std::isinf(*out.value().vc_dim));
+  EXPECT_EQ(validate_request(out.value()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RequestCodec, RejectsGarbageAndTrailingBytes) {
