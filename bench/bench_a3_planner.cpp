@@ -130,7 +130,6 @@ void print_table() {
       {"planner", std::nullopt},
       {"exact", VolumeStrategy::kAuto},
       {"mc", VolumeStrategy::kMonteCarlo},
-      {"hit_and_run", VolumeStrategy::kHitAndRun},
       {"trivial_half", VolumeStrategy::kTrivialHalf},
   };
   std::printf("%-14s %-10s %-10s %-12s\n", "config", "seconds", "answered",

@@ -2,14 +2,18 @@
 // free when quotas never trip. The same exact-volume and elimination
 // workloads run unmetered (meter = nullptr, no thread-local scope) and
 // metered (WorkMeter at the default quotas + MeterScope, so the BigInt
-// hot path charges too); the headline table reports the paired min-of-k
-// overhead and writes BENCH_guard.json with an overhead_ok verdict
-// against the 2% budget from DESIGN.md section 8.
+// hot path charges too); the headline table reports each workload's
+// paired overhead and writes BENCH_guard.json with an overhead_ok
+// verdict against the 2% budget from DESIGN.md section 8.
 //
-// Min-of-k timing deliberately: the *minimum* is the principled
-// estimator for deterministic CPU-bound work (everything above the min
-// is scheduler noise), and overhead below noise would otherwise swamp a
-// 2% signal.
+// Paired timing: every rep runs both variants back to back, swapping
+// which runs first on alternate reps so neither always inherits the
+// other's cache and clock state, and the overhead is the median of the
+// per-rep on/off ratios. A ratio of two minima compares the luckiest
+// run of each variant, which on a shared machine can fall in different
+// load regimes; a paired ratio sees the same regime on both sides, and
+// its median discards the reps a burst of load hit. kReps gives every
+// variant at least a second of timed work on the reference machine.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +30,7 @@ namespace {
 
 using namespace cqa;
 
-constexpr int kReps = 7;          // min-of-k repetitions per variant
+constexpr int kReps = 31;         // paired reps per workload (odd)
 constexpr double kBudgetPct = 2.0;
 
 double now_seconds() {
@@ -86,38 +90,61 @@ void run_sweep_3d(guard::WorkMeter* meter) {
 
 void run_fm(guard::WorkMeter* meter) {
   auto rows = fm_rows(40);
-  for (int rep = 0; rep < 2; ++rep) {
+  for (int rep = 0; rep < 30; ++rep) {
     auto out = fm_eliminate(rows, 0, meter);
     CQA_CHECK(!out.empty() || rows.empty());
   }
 }
 
+// Seconds for one run of the workload, unmetered or metered.
+double time_variant(const Workload& w, bool metered) {
+  if (!metered) {
+    const double t0 = now_seconds();
+    w.run(nullptr);
+    return now_seconds() - t0;
+  }
+  guard::WorkMeter meter{guard::ResourceQuota{}};  // Session defaults
+  const double t0 = now_seconds();
+  guard::MeterScope scope(&meter);
+  w.run(&meter);
+  const double dt = now_seconds() - t0;
+  CQA_CHECK(!meter.tripped());  // defaults must not trip here
+  return dt;
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 struct Paired {
-  double off = 1e100;
-  double on = 1e100;
+  double off = 0.0;           // median seconds per unmetered run
+  double on = 0.0;            // median seconds per metered run
+  double total_off = 0.0;     // timed seconds across every rep
+  double total_on = 0.0;
+  double overhead_pct = 0.0;  // (median per-rep on/off ratio - 1) * 100
 };
 
-// Interleaves the two variants rep by rep so slow machine-load drift
-// hits both equally, then takes each variant's minimum.
-Paired min_of_k(const Workload& w) {
-  Paired best;
+Paired paired_runs(const Workload& w) {
+  std::vector<double> off, on, ratio;
   for (int rep = 0; rep < kReps; ++rep) {
-    {
-      const double t0 = now_seconds();
-      w.run(nullptr);
-      best.off = std::min(best.off, now_seconds() - t0);
-    }
-    {
-      guard::WorkMeter meter{guard::ResourceQuota{}};  // Session defaults
-      const double t0 = now_seconds();
-      guard::MeterScope scope(&meter);
-      w.run(&meter);
-      const double dt = now_seconds() - t0;
-      CQA_CHECK(!meter.tripped());  // defaults must not trip here
-      best.on = std::min(best.on, dt);
-    }
+    const bool on_first = rep % 2 == 1;
+    double t_on = on_first ? time_variant(w, true) : 0.0;
+    const double t_off = time_variant(w, false);
+    if (!on_first) t_on = time_variant(w, true);
+    off.push_back(t_off);
+    on.push_back(t_on);
+    ratio.push_back(t_on / t_off);
   }
-  return best;
+  Paired p;
+  for (int rep = 0; rep < kReps; ++rep) {
+    p.total_off += off[rep];
+    p.total_on += on[rep];
+  }
+  p.off = median(off);
+  p.on = median(on);
+  p.overhead_pct = (median(ratio) - 1.0) * 100.0;
+  return p;
 }
 
 void print_table() {
@@ -132,9 +159,11 @@ void print_table() {
       {"fm_elimination", run_fm},
   };
 
-  std::printf("min-of-%d seconds per variant\n\n", kReps);
-  std::printf("%-16s %-12s %-12s %-10s\n", "workload", "off_sec", "on_sec",
-              "overhead%");
+  std::printf("%d paired reps; median seconds per run, overhead = median "
+              "per-rep on/off ratio\n\n",
+              kReps);
+  std::printf("%-16s %-12s %-12s %-10s %-18s\n", "workload", "off_sec",
+              "on_sec", "overhead%", "timed off/on sec");
 
   double max_overhead = 0.0;
   std::string json = "{\n  \"reps\": " + std::to_string(kReps) +
@@ -142,13 +171,13 @@ void print_table() {
                      ",\n  \"workloads\": {\n";
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Workload& w = workloads[i];
-    const Paired t = min_of_k(w);
+    const Paired t = paired_runs(w);
     const double off = t.off;
     const double on = t.on;
-    const double pct = off > 0 ? (on - off) / off * 100.0 : 0.0;
+    const double pct = t.overhead_pct;
     max_overhead = std::max(max_overhead, pct);
-    std::printf("%-16s %-12.5f %-12.5f %-+10.2f\n", w.name.c_str(), off, on,
-                pct);
+    std::printf("%-16s %-12.5f %-12.5f %-+10.2f %.2f / %.2f\n",
+                w.name.c_str(), off, on, pct, t.total_off, t.total_on);
     json += "    \"" + w.name + "\": {\"off_sec\": " + std::to_string(off) +
             ", \"on_sec\": " + std::to_string(on) +
             ", \"overhead_pct\": " + std::to_string(pct) + "}";

@@ -10,12 +10,15 @@
 // committed BENCH_arith.json records the speedups with a >= 3x floor on
 // the small-value-dominated cases.
 //
-// Min-of-k for the same reason as A5: deterministic CPU-bound work, so
-// the minimum is the estimator and everything above it is scheduler
-// noise.
+// Min-of-k: deterministic CPU-bound work, so the minimum is the
+// estimator and everything above it is scheduler noise. Each rep times
+// enough back-to-back calls for a span of at least kMinSpanSec, so a
+// millisecond-scale row is not at the mercy of one timer slice, and
+// reports seconds per call, the unit of baseline_sec.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,6 +35,7 @@ namespace {
 using namespace cqa;
 
 constexpr int kReps = 7;  // min-of-k repetitions per workload
+constexpr double kMinSpanSec = 0.05;  // shortest timed span per rep
 constexpr double kSpeedupFloor = 3.0;
 
 double now_seconds() {
@@ -172,7 +176,7 @@ void run_bigint_mul_large() {
 struct Workload {
   std::string name;
   void (*run)();
-  // min-of-k seconds at the pre-refactor commit (heap limbs for every
+  // min-of-k seconds per call at the pre-refactor commit (heap limbs for every
   // value, copy-assign compound ops), measured on the reference machine
   // that produced the committed BENCH_arith.json. 0 = no baseline row.
   double baseline_sec;
@@ -201,7 +205,8 @@ int main(int argc, char** argv) {
       {"bigint_mul_large", run_bigint_mul_large, 0.00320, 1.5},
   };
 
-  std::printf("min-of-%d seconds per workload\n\n", kReps);
+  std::printf("min-of-%d seconds per call (spans >= %.0f ms)\n\n", kReps,
+              kMinSpanSec * 1e3);
   std::printf("%-20s %-12s %-14s %-10s %-8s\n", "workload", "sec",
               "baseline_sec", "speedup", "floor");
 
@@ -211,11 +216,16 @@ int main(int argc, char** argv) {
                      std::to_string(kSpeedupFloor) + ",\n  \"workloads\": {\n";
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Workload& w = workloads[i];
+    // One untimed warm-up call sizes the span.
+    double t0 = now_seconds();
+    w.run();
+    const int calls = static_cast<int>(
+        std::ceil(kMinSpanSec / std::max(now_seconds() - t0, 1e-9)));
     double best = 1e100;
     for (int rep = 0; rep < kReps; ++rep) {
-      const double t0 = now_seconds();
-      w.run();
-      best = std::min(best, now_seconds() - t0);
+      t0 = now_seconds();
+      for (int c = 0; c < calls; ++c) w.run();
+      best = std::min(best, (now_seconds() - t0) / calls);
     }
     const double speedup = w.baseline_sec > 0 ? w.baseline_sec / best : 0.0;
     const bool row_ok = w.baseline_sec <= 0 || speedup >= w.floor;

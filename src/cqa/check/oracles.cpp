@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cqa/approx/hit_and_run.h"
 #include "cqa/approx/random.h"
 #include "cqa/guard/fault.h"
 #include "cqa/logic/decide.h"
@@ -22,6 +23,9 @@ namespace {
 // generator's and the samplers' streams.
 constexpr std::uint64_t kPointStream = 0x504F494E54535431ull;
 constexpr std::uint64_t kTransformStream = 0x5452414E53464Dull;
+
+// Samples per phase of the hit-and-run oracle's random walk.
+constexpr std::size_t kWalkSamples = 4000;
 
 std::string rat(const Rational& r) {
   return r.to_string();
@@ -119,8 +123,10 @@ class ExactVsMcOracle : public Oracle {
 };
 
 // Theorem 3 vs the DFK hit-and-run estimator on convex regions. The
-// estimator carries no hard (eps, delta) guarantee, so the comparison
-// uses a loose tolerance and is budgeted like a statistical oracle.
+// estimator is a paper baseline outside the serving ladder, so it runs
+// directly on the one cell a kCells request returns. It carries no hard
+// (eps, delta) guarantee, so the comparison uses a loose tolerance and
+// is budgeted like a statistical oracle.
 class ExactVsHitAndRunOracle : public Oracle {
  public:
   const char* name() const override { return "exact_vs_hit_and_run"; }
@@ -141,14 +147,24 @@ class ExactVsHitAndRunOracle : public Oracle {
     if (x < 0.01) {
       return TrialResult::skip("region too small/degenerate for HAR");
     }
-    auto har =
-        forced_answer(g, ctx, VolumeStrategy::kHitAndRun, trial_seed);
+    Request cells = volume_request(g, ctx, trial_seed);
+    cells.kind = RequestKind::kCells;
+    auto cell = ctx.session->run(cells);
+    if (!cell.is_ok() || cell.value().cells.size() != 1) {
+      return TrialResult::fail(
+          "a convex region did not decompose into one cell: " +
+          (cell.is_ok() ? std::to_string(cell.value().cells.size()) +
+                              " cells"
+                        : cell.status().to_string()));
+    }
+    auto har = hit_and_run_volume(Polyhedron(cell.value().cells[0]),
+                                  kWalkSamples, trial_seed);
     if (!har.is_ok()) {
       return TrialResult::fail(
           "hit-and-run refused a nondegenerate convex region: " +
           har.status().to_string());
     }
-    double estimate = har.value().estimate.value_or(0.0);
+    double estimate = har.value().volume;
     if (inject_fault) estimate += 1.0;
     const double tolerance = std::max(0.05, 0.4 * x);
     if (std::abs(estimate - x) > tolerance) {

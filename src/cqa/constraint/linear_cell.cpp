@@ -19,21 +19,6 @@ LinearCell LinearCell::closure() const {
   return out;
 }
 
-LinearCell LinearCell::restrict_var(std::size_t var,
-                                    const Rational& value) const {
-  CQA_CHECK(var < dim_);
-  LinearCell out(dim_);
-  for (const auto& c : constraints_) {
-    LinearConstraint r = c;
-    if (!r.coeffs[var].is_zero()) {
-      r.rhs -= r.coeffs[var] * value;
-      r.coeffs[var] = Rational();
-    }
-    out.add(std::move(r));
-  }
-  return out;
-}
-
 LinearCell LinearCell::intersect_box(const Rational& lo,
                                      const Rational& hi) const {
   LinearCell out = *this;

@@ -56,11 +56,6 @@ class LinearCell {
   /// The cell with every strict inequality relaxed (same measure).
   LinearCell closure() const;
 
-  /// Fixes x_var := value: substitutes into every constraint. The result
-  /// lives in the same ambient dimension with x_var unconstrained-free
-  /// (its coefficient is zero everywhere).
-  LinearCell restrict_var(std::size_t var, const Rational& value) const;
-
   /// Intersection with [lo, hi] on every coordinate.
   LinearCell intersect_box(const Rational& lo, const Rational& hi) const;
 

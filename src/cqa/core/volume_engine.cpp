@@ -1,12 +1,8 @@
 #include "cqa/core/volume_engine.h"
 
-#include "cqa/approx/ellipsoid.h"
-#include "cqa/approx/gadgets.h"
-#include "cqa/approx/hit_and_run.h"
 #include "cqa/volume/growth.h"
 #include "cqa/volume/inclusion_exclusion.h"
 #include "cqa/volume/semilinear_volume.h"
-#include "cqa/volume/variable_independence.h"
 
 namespace cqa {
 
@@ -31,22 +27,18 @@ Result<UPoly> VolumeEngine::growth_polynomial(
 Result<VolumeAnswer> VolumeEngine::volume(
     const ParsedQuery& query, const std::vector<std::string>& output_vars,
     const VolumeOptions& options) {
-  if (options.strategy == VolumeStrategy::kMonteCarlo) {
+  const bool sweep = options.strategy == VolumeStrategy::kAuto;
+  if (!sweep && options.strategy != VolumeStrategy::kInclusionExclusion) {
     return Status::invalid(
-        "Monte-Carlo volumes run through Session, not VolumeEngine");
+        "Monte-Carlo and trivial-1/2 volumes run through Session, not "
+        "VolumeEngine");
   }
   VolumeAnswer answer;
-  const RewriteOptions rw{options.cancel, options.meter};
 
-  // Exact strategies go through the FO+LIN pipeline; their results are
-  // memoizable, keyed on the printed parse plus the output variable list
-  // and the options that change the exact answer.
+  // Exact results are memoizable, keyed on the printed parse plus the
+  // output variable list and the options that change the exact answer.
   std::optional<std::string> cache_key;
-  const bool exact_strategy =
-      options.strategy == VolumeStrategy::kAuto ||
-      options.strategy == VolumeStrategy::kInclusionExclusion ||
-      options.strategy == VolumeStrategy::kVariableIndependent;
-  if (cache_ != nullptr && exact_strategy) {
+  if (cache_ != nullptr) {
     std::string key = "vol|" + query.printed();
     for (const auto& v : output_vars) key += "|" + v;
     key += "|s" + std::to_string(static_cast<int>(options.strategy));
@@ -58,56 +50,17 @@ Result<VolumeAnswer> VolumeEngine::volume(
     cache_key = std::move(key);
   }
 
-  auto cells = queries_.cells(query, output_vars, rw);
+  auto cells =
+      queries_.cells(query, output_vars, {options.cancel, options.meter});
   if (!cells.is_ok()) return cells.status();
   std::vector<LinearCell> live = cells.value();
   if (options.clip_to_unit_box) {
     for (auto& c : live) c = c.intersect_box(Rational(0), Rational(1));
   }
 
-  Result<Rational> exact = Status::internal("not an exact strategy");
-  switch (options.strategy) {
-    case VolumeStrategy::kAuto:
-      exact = semilinear_volume(live, nullptr, options.cancel, options.meter);
-      break;
-    case VolumeStrategy::kInclusionExclusion:
-      exact = volume_inclusion_exclusion(live);
-      break;
-    case VolumeStrategy::kVariableIndependent:
-      exact = volume_variable_independent(live);
-      break;
-    case VolumeStrategy::kEllipsoidBounds: {
-      if (live.size() != 1) {
-        return Status::invalid(
-            "ellipsoid bounds require a single convex cell");
-      }
-      auto b = john_volume_bounds(Polyhedron(live[0]));
-      if (!b.is_ok()) return b.status();
-      answer.lower = b.value().lower;
-      answer.upper = b.value().upper;
-      return answer;
-    }
-    case VolumeStrategy::kTrivialHalf: {
-      auto v = trivial_half_approximation(live, output_vars.size());
-      if (!v.is_ok()) return v.status();
-      answer.estimate = v.value().to_double();
-      return answer;
-    }
-    case VolumeStrategy::kHitAndRun: {
-      if (live.size() != 1) {
-        return Status::invalid(
-            "hit-and-run requires a single convex cell");
-      }
-      auto r = hit_and_run_volume(Polyhedron(live[0]),
-                                  kHitAndRunSamples,
-                                  options.seed);
-      if (!r.is_ok()) return r.status();
-      answer.estimate = r.value().volume;
-      return answer;
-    }
-    case VolumeStrategy::kMonteCarlo:
-      break;  // refused above
-  }
+  auto exact = sweep ? semilinear_volume(live, nullptr, options.cancel,
+                                         options.meter)
+                     : volume_inclusion_exclusion(live);
   if (!exact.is_ok()) return exact.status();
   if (cache_key) cache_->store(*cache_key, exact.value());
   answer.exact = exact.value();

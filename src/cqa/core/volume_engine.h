@@ -1,6 +1,9 @@
-// Volume computation with strategy selection: the paper's landscape in
-// one API. Exact strategies apply to semi-linear queries; approximate
-// ones extend to the polynomial world exactly as Sections 3-6 lay out.
+// Exact volume computation: Theorem 3's sweep and the inclusion-
+// exclusion reference over the cell decomposition of a semi-linear
+// query. The approximate rungs (Theorem-4 sampling, Proposition 4's
+// trivial 1/2) are served by Session; the paper's other baselines
+// (hit-and-run, Lowner-John bounds, variable independence) are free
+// functions called directly.
 
 #ifndef CQA_CORE_VOLUME_ENGINE_H_
 #define CQA_CORE_VOLUME_ENGINE_H_
@@ -14,21 +17,21 @@
 
 namespace cqa {
 
-/// How to compute (or approximate) a volume.
+/// How to compute (or approximate) a volume: the paper's ladder plus
+/// the exact inclusion-exclusion reference.
 enum class VolumeStrategy {
   kAuto,                // exact Theorem-3 sweep (default)
   kInclusionExclusion,  // exact, exponential in cell count
-  kVariableIndependent, // exact, requires the [11] box shape
   kMonteCarlo,          // Theorem-4 sampling (eps, delta); Session only
-  kEllipsoidBounds,     // Lowner-John relative bounds (convex only)
-  kTrivialHalf,         // Proposition-4 trivial approximation
-  kHitAndRun,           // DFK multiphase hit-and-run (convex only)
+  kTrivialHalf,         // Proposition-4 constant 1/2; Session only
 };
 
 /// A volume answer: exact rational when the strategy is exact, otherwise
-/// an estimate (possibly with hard lower/upper bounds). `degraded` marks
-/// a best-so-far answer produced under an expired deadline; the
-/// lower/upper bars are widened accordingly.
+/// an estimate with lower/upper bars. `degraded` marks an answer that
+/// misses the request's epsilon (expired deadline, tripped quota, a
+/// deadline-reduced sample or the trivial 1/2); its bars are widened
+/// accordingly. The rung that served it is read off the answer alone
+/// (see volume_answer in runtime/request.h).
 struct VolumeAnswer {
   std::optional<Rational> exact;
   std::optional<double> estimate;
@@ -46,22 +49,14 @@ struct VolumeAnswer {
   }
 };
 
-/// Samples per phase of the kHitAndRun estimator; the planner prices
-/// hit-and-run at the same count.
-inline constexpr std::size_t kHitAndRunSamples = 4000;
-
-/// Options for volume computation. One struct for every strategy; the
-/// strategy-specific knobs are ignored by the strategies that do not
-/// read them.
+/// Options for exact volume computation.
 struct VolumeOptions {
   VolumeStrategy strategy = VolumeStrategy::kAuto;
-  /// Seed of the kHitAndRun random walk.
-  std::uint64_t seed = 1;
   /// Restrict to [0,1]^k first (the paper's VOL_I). Exact strategies
   /// require the query to be bounded when this is false.
   bool clip_to_unit_box = false;
-  /// Cooperative cancellation / deadline, polled in every strategy's
-  /// hot loop. Not owned; may be null.
+  /// Cooperative cancellation / deadline, polled in the pipeline's hot
+  /// loops. Not owned; may be null.
   const CancelToken* cancel = nullptr;
   /// Resource meter charged by the exact pipeline (QE rewrite, sweep
   /// sections, BigInt bit-lengths via the thread binding); a quota trip
@@ -85,15 +80,16 @@ class VolumeEngine {
       : db_(db), queries_(db) {}
 
   /// Installs a memo-cache for exact volume results (nullptr disables).
-  /// Approximate strategies are never cached. Not owned.
+  /// Not owned.
   void set_cache(VolumeCache* cache) { cache_ = cache; }
 
   /// The engine's query pipeline (e.g. to install a RewriteCache on it).
   QueryEngine& queries() { return queries_; }
 
-  /// Volume of the query's denotation over the named output variables.
-  /// kMonteCarlo is kInvalidArgument here: Theorem-4 sampling runs only
-  /// through Session, which sizes the sample and assembles the bars.
+  /// Exact volume of the query's denotation over the named output
+  /// variables. kMonteCarlo and kTrivialHalf are kInvalidArgument here:
+  /// those rungs run only through Session, which sizes the sample and
+  /// assembles the bars.
   Result<VolumeAnswer> volume(const ParsedQuery& query,
                               const std::vector<std::string>& output_vars,
                               const VolumeOptions& options = {});

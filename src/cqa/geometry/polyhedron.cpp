@@ -117,11 +117,4 @@ Result<Polyhedron> Polyhedron::hull_of(const std::vector<RVec>& points) {
   return Polyhedron(cell);
 }
 
-Polyhedron Polyhedron::intersect(const Polyhedron& o) const {
-  CQA_CHECK(dim() == o.dim());
-  Polyhedron out = *this;
-  for (const auto& c : o.constraints()) out.add_constraint(c);
-  return out;
-}
-
 }  // namespace cqa

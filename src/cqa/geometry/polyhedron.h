@@ -46,9 +46,6 @@ class Polyhedron {
   /// Adds a (closed) constraint.
   void add_constraint(LinearConstraint c) { cell_.add(c.closure()); }
 
-  /// Intersection.
-  Polyhedron intersect(const Polyhedron& o) const;
-
   /// Some point of the polyhedron, if nonempty.
   std::optional<RVec> any_point() const { return cell_.sample_point(); }
 

@@ -127,8 +127,8 @@ Result<std::size_t> mc_sample_size(const Budget& budget,
 
 double hoeffding_epsilon(double delta, std::size_t n) {
   if (n == 0) return 0.5;
-  const double d = std::min(std::max(delta, 1e-12), 0.999);
-  const double e = std::sqrt(std::log(2.0 / d) / (2.0 * static_cast<double>(n)));
+  const double e =
+      std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(n)));
   return std::min(e, 0.5);
 }
 
@@ -136,11 +136,8 @@ const char* strategy_name(VolumeStrategy s) {
   switch (s) {
     case VolumeStrategy::kAuto: return "exact";
     case VolumeStrategy::kInclusionExclusion: return "inclusion_exclusion";
-    case VolumeStrategy::kVariableIndependent: return "variable_independent";
     case VolumeStrategy::kMonteCarlo: return "mc";
-    case VolumeStrategy::kEllipsoidBounds: return "ellipsoid";
     case VolumeStrategy::kTrivialHalf: return "trivial_half";
-    case VolumeStrategy::kHitAndRun: return "hit_and_run";
   }
   return "unknown";
 }
@@ -160,14 +157,6 @@ double mc_cost_ns(const FormulaStats& s, const CostModel& m,
                   std::size_t samples) {
   return m.mc_point_ns * static_cast<double>(samples) *
          static_cast<double>(s.atoms + 1);
-}
-
-double har_cost_ns(const FormulaStats& s, const CostModel& m,
-                   std::size_t samples_per_phase) {
-  const double dim = static_cast<double>(std::max<std::size_t>(2, s.dimension));
-  // phases ~ dim * log(radius ratio); model with dim + 2.
-  return m.har_sample_ns * static_cast<double>(samples_per_phase) *
-         (dim + 2.0) * dim;
 }
 
 std::string ns_note(double ns) {
@@ -217,18 +206,6 @@ PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
     mc.note = "M=" + std::to_string(blumer) + " " + ns_note(mc.predicted_ns);
   }
 
-  PlannedStrategy har;
-  har.strategy = VolumeStrategy::kHitAndRun;
-  har.feasible =
-      stats.linear && stats.cell_estimate == 1 && stats.dimension >= 2;
-  // Hit-and-run carries no (eps, delta) certificate; treat its error as
-  // a mixing-limited heuristic so it only wins under loose budgets.
-  har.err = 0.1;
-  har.meets_accuracy = har.feasible && har.err <= budget.epsilon;
-  har.predicted_ns = har_cost_ns(stats, model, kHitAndRunSamples);
-  har.note = har.feasible ? ns_note(har.predicted_ns)
-                          : "needs a single convex cell";
-
   PlannedStrategy trivial;
   trivial.strategy = VolumeStrategy::kTrivialHalf;
   trivial.feasible = true;  // the constant answer needs no decomposition
@@ -237,7 +214,7 @@ PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
   trivial.predicted_ns = 0.0;
   trivial.note = "constant 1/2, bars [0,1]";
 
-  d.considered = {exact, mc, har, trivial};
+  d.considered = {exact, mc, trivial};
 
   // --- Pick the cheapest candidate that honors the budget -------------
   const PlannedStrategy* best = nullptr;

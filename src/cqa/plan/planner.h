@@ -4,8 +4,10 @@
 // The paper exposes three regimes with wildly different cost/accuracy
 // profiles: exact FO+POLY+SUM volume for semi-linear sets (Theorem 3),
 // (eps, delta) Monte-Carlo with VC-dimension sample bounds (Theorem 4),
-// and the trivial half-approximation (Proposition 4); the convex-only
-// hit-and-run estimator [15] sits between them. The planner extracts
+// and the trivial half-approximation (Proposition 4). Those three rungs
+// are exactly what the planner prices; the paper's other baselines
+// (hit-and-run, Lowner-John bounds, variable independence) are reached
+// only by calling their free functions directly. The planner extracts
 // cheap structural statistics from the query (dimension, atom count, a
 // DNF cell-count estimate, a capped Goldberg-Jerrum VC bound), prices
 // each strategy with a calibrated cost model, and selects the cheapest
@@ -70,7 +72,6 @@ struct CostModel {
   double exact_cell_ns = 60000.0;   // sweep work per cell^2 * dim unit
   double decompose_cell_ns = 25000.0;  // formula -> cells, per cell
   double mc_point_ns = 60.0;        // membership test per point per atom
-  double har_sample_ns = 9000.0;    // hit-and-run per sample per dim
   double deadline_safety = 0.8;     // fraction of the deadline to plan for
   std::size_t min_mc_samples = 64;  // below this, MC is pointless
   double vc_dim_cap = 12.0;         // cap on the GJ bound fed to Blumer
@@ -121,7 +122,8 @@ Result<std::size_t> mc_sample_size(const Budget& budget,
                                    std::size_t cap = 0);
 
 /// Two-sided Hoeffding error half-width for n Bernoulli samples at
-/// confidence 1 - delta: sqrt(ln(2/delta) / 2n). Returns 0.5 for n == 0.
+/// confidence 1 - delta: sqrt(ln(2/delta) / 2n), capped at 0.5 (the
+/// trivial bars). Returns 0.5 for n == 0. delta must lie in (0, 1).
 double hoeffding_epsilon(double delta, std::size_t n);
 
 /// The last rung of the degradation ladder: Proposition 4's constant 1/2
@@ -141,8 +143,8 @@ inline VolumeAnswer trivial_half_volume(bool degraded) {
 PlanDecision plan_volume(const FormulaStats& stats, const Budget& budget,
                          const CostModel& model = {});
 
-/// Short lowercase tag for metrics/logs ("exact", "mc", "hit_and_run",
-/// "trivial_half", ...).
+/// Short lowercase tag for metrics/logs ("exact", "inclusion_exclusion",
+/// "mc", "trivial_half").
 const char* strategy_name(VolumeStrategy s);
 
 /// Multi-line debug rendering of a decision (for logs and benches).

@@ -1,6 +1,7 @@
 #include "cqa/runtime/request.h"
 
 #include <cmath>
+#include <utility>
 
 namespace cqa {
 
@@ -12,6 +13,23 @@ bool is_volume_kind(RequestKind k) {
 }
 
 }  // namespace
+
+Answer volume_answer(VolumeAnswer v) {
+  Answer a;
+  a.kind = RequestKind::kVolume;
+  if (v.exact) {
+    a.guard.rung = guard::Rung::kExact;
+  } else if (v.points_evaluated == 0) {
+    a.guard.rung = guard::Rung::kTrivialHalf;
+  } else if (v.points_evaluated < v.points_requested) {
+    a.guard.rung = guard::Rung::kMcPartial;
+  } else {
+    a.guard.rung = guard::Rung::kMonteCarlo;
+  }
+  if (v.degraded) a.status = AnswerStatus::kDegraded;
+  a.volume = std::move(v);
+  return a;
+}
 
 Status validate_request(const Request& request) {
   if (request.query.empty()) {

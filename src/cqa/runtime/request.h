@@ -70,7 +70,10 @@ struct Request {
   std::string query;
   std::vector<std::string> output_vars;
   Budget budget;
-  /// Volume only: bypass the planner and force one strategy.
+  /// Volume only: bypass the planner and pin one rung. Pinned kAuto /
+  /// kInclusionExclusion run the exact engine, kMonteCarlo samples M
+  /// points, and kTrivialHalf answers the constant 1/2 (kDegraded when
+  /// epsilon < 1/2), the same executors a planned request uses.
   std::optional<VolumeStrategy> strategy;
   std::uint64_t seed = 1;
   /// Volume only: the VC dimension d fed to mc_sample_size, positive
@@ -129,17 +132,19 @@ struct Answer {
   bool degraded() const { return status == AnswerStatus::kDegraded; }
 };
 
+/// The one VolumeAnswer -> Answer assembly, shared by every volume path.
+/// The rung is read off the answer alone: an exact value is kExact; no
+/// point evaluated is kTrivialHalf; fewer points than requested is
+/// kMcPartial; otherwise kMonteCarlo. The status is kDegraded exactly
+/// when v.degraded.
+Answer volume_answer(VolumeAnswer v);
+
 /// The last rung of the degradation ladder as a whole Answer: a
 /// degraded volume answer carrying Proposition 4's constant 1/2 with
 /// hard bars [0, 1], rung kTrivialHalf. Callers set the guard's shed /
 /// worker_crashed / worker_hung flags themselves.
 inline Answer degraded_half_answer() {
-  Answer a;
-  a.kind = RequestKind::kVolume;
-  a.status = AnswerStatus::kDegraded;
-  a.volume = trivial_half_volume(true);
-  a.guard.rung = guard::Rung::kTrivialHalf;
-  return a;
+  return volume_answer(trivial_half_volume(true));
 }
 
 /// Structural validation, run before any engine: empty query, epsilon

@@ -23,44 +23,32 @@ bool is_degradable(const Status& s) {
   return is_expiry(s) || s.code() == StatusCode::kResourceExhausted;
 }
 
-// Which degradation rung a finished volume answer represents.
-guard::Rung rung_of(const VolumeAnswer& v) {
-  if (v.exact) return guard::Rung::kExact;
-  if (v.degraded) {
-    return v.points_evaluated > 0 ? guard::Rung::kMcPartial
-                                  : guard::Rung::kTrivialHalf;
-  }
-  return guard::Rung::kMonteCarlo;
-}
-
-// A pinned-strategy volume answer: its rung and status follow the volume.
-Answer pinned_answer(VolumeAnswer v) {
-  Answer a;
-  a.kind = RequestKind::kVolume;
-  a.guard.rung = rung_of(v);
-  if (v.degraded) a.status = AnswerStatus::kDegraded;
-  a.volume = std::move(v);
-  return a;
+// The trivial-1/2 rung as served to a request: kDegraded unless the
+// budget tolerates an error of 1/2.
+VolumeAnswer trivial_rung(const Budget& budget) {
+  return trivial_half_volume(budget.epsilon < 0.5);
 }
 
 // The one McPartial -> VolumeAnswer assembly: complete -> +-target_epsilon
-// bars; partial -> the Hoeffding half-width the completed chunks
+// bars, degraded when that misses budget.epsilon (a deadline-reduced
+// plan); partial -> the Hoeffding half-width the completed chunks
 // support, degraded; nothing completed -> trivial 1/2. points_requested
 // is the full sample size M throughout.
 VolumeAnswer mc_volume_answer(const McPartial& p, double target_epsilon,
-                              double delta) {
+                              const Budget& budget) {
   VolumeAnswer v;
   if (p.complete) {
     v.estimate = p.estimate;
     v.lower = p.estimate - target_epsilon;
     v.upper = p.estimate + target_epsilon;
+    v.degraded = target_epsilon > budget.epsilon;
   } else if (p.evaluated == 0) {
     // Expired before a single chunk finished: nothing to estimate from.
     v = trivial_half_volume(true);
   } else {
     // Best-so-far: the completed chunks are i.i.d. slices of the planned
     // sample (up to the mild survivorship caveat in parallel_sampler.h).
-    const double eps = hoeffding_epsilon(delta, p.evaluated);
+    const double eps = hoeffding_epsilon(budget.delta, p.evaluated);
     v.degraded = true;
     v.estimate = p.estimate;
     v.lower = std::max(0.0, p.estimate - eps);
@@ -253,32 +241,34 @@ Result<Answer> Session::run_volume(const Request& request,
                                    const ParsedQuery& query,
                                    CancelToken* token,
                                    guard::WorkMeter* meter) {
-  if (request.strategy) {
-    // Planner bypass: the caller pinned a strategy; the budget still
-    // arms the deadline and MC sample sizing. A tripped quota degrades
-    // to the last rung (expiry keeps its pre-guard error contract for
-    // pinned strategies).
-    auto v = forced_volume(request, query, *request.strategy, token, meter);
-    if (v.is_ok()) return pinned_answer(std::move(v).take());
+  // The front end every rung shares: inlining resolves the database's
+  // relations, so an unknown one is kInvalidArgument whatever runs.
+  auto inlined = queries().inlined(query);
+  if (!inlined.is_ok()) return inlined.status();
+  if (!request.strategy) {
+    return run_planned_volume(request, query, inlined.value(), token, meter);
+  }
+  // Planner bypass: the caller pinned a rung; the budget still arms the
+  // deadline and sizes the sample. A tripped quota degrades to the last
+  // rung (expiry keeps its pre-guard error contract for pinned exact
+  // strategies).
+  auto v = pinned_volume(request, query, token, meter);
+  if (!v.is_ok()) {
     if (v.status().code() != StatusCode::kResourceExhausted) {
       return v.status();
     }
-    return degraded_half_answer();
+    v = trivial_half_volume(true);
   }
-  return run_planned_volume(request, query, token, meter);
+  return volume_answer(std::move(v).take());
 }
 
 Result<Answer> Session::run_planned_volume(const Request& request,
                                            const ParsedQuery& query,
+                                           FormulaPtr analysis,
                                            CancelToken* token,
                                            guard::WorkMeter* meter) {
   // --- Stats: cheap structure first, the cached rewrite if available --
-  // The inlined form stays with the query, so the engines below reuse it.
   const std::size_t quantifiers = query.formula()->count_quantifiers();
-  auto inlined = queries().inlined(query);
-  if (!inlined.is_ok()) return inlined.status();
-  FormulaPtr analysis = inlined.value();
-
   if (!analysis->is_quantifier_free() && analysis->is_linear()) {
     // Quantified FO+LIN: the QE rewrite is what exact evaluation runs
     // anyway and it is memoized, so analyze the eliminated form. A
@@ -307,111 +297,82 @@ Result<Answer> Session::run_planned_volume(const Request& request,
   }
   record_plan(decision);
 
-  Answer answer;
-  answer.kind = RequestKind::kVolume;
-  answer.plan = decision;
-
+  Result<VolumeAnswer> v = Status::internal("no rung ran");
   switch (decision.chosen) {
-    case VolumeStrategy::kMonteCarlo: {
+    case VolumeStrategy::kMonteCarlo:
       // Sample the analysis formula: for quantified FO+LIN it is the QE
       // rewrite, and MC membership only accepts quantifier-free input.
-      // A quota trip here (e.g. during membership plan compilation)
-      // degrades to the last rung like any other exhaustion.
-      auto v = pooled_monte_carlo(request, query.formula(), analysis,
-                                  decision.mc_samples,
-                                  decision.expected_epsilon, token, meter);
-      if (v.is_ok()) {
-        answer.volume = v.value();
-      } else if (is_degradable(v.status())) {
-        answer.volume = trivial_half_volume(true);
-      } else {
-        return v.status();
-      }
+      v = pooled_monte_carlo(request, query.formula(), analysis,
+                             decision.mc_samples, decision.expected_epsilon,
+                             token, meter);
       break;
-    }
-    case VolumeStrategy::kTrivialHalf: {
-      answer.volume = trivial_half_volume(decision.degrade_preplanned);
+    case VolumeStrategy::kTrivialHalf:
+      v = trivial_rung(request.budget);
       break;
-    }
-    default: {
-      // Exact strategies (and hit-and-run) run in the engine under the
-      // shared token and meter. Expiry mid-decomposition cannot salvage
-      // a partial exact answer, so it degrades to the last rung; a
-      // tripped quota first falls one rung to Monte-Carlo on the
-      // (quantifier-free) analysis formula -- sampling is O(1)-memory
-      // per point, so it runs fine where the exact sweep could not --
-      // and only reaches trivial-1/2 if sampling fails too.
-      auto v = forced_volume(request, query, decision.chosen, token, meter);
-      if (v.is_ok()) {
-        answer.volume = v.value();
-      } else if (v.status().code() == StatusCode::kResourceExhausted &&
-                 analysis->is_quantifier_free()) {
+    default:
+      // The exact engine under the shared token and meter. A tripped
+      // quota first falls one rung to Monte-Carlo on the (quantifier-
+      // free) analysis formula -- sampling is O(1)-memory per point, so
+      // it runs fine where the exact sweep could not.
+      v = volumes_.volume(query, request.output_vars,
+                          {.cancel = token, .meter = meter});
+      if (!v.is_ok() &&
+          v.status().code() == StatusCode::kResourceExhausted &&
+          analysis->is_quantifier_free()) {
         auto m = mc_sample_size(request.budget, stats.vc_dim);
-        auto mc = m.is_ok()
-                      ? pooled_monte_carlo(request, query.formula(), analysis,
-                                           m.value(), request.budget.epsilon,
-                                           token, meter)
+        v = m.is_ok() ? pooled_monte_carlo(request, query.formula(),
+                                           analysis, m.value(),
+                                           request.budget.epsilon, token,
+                                           meter)
                       : Result<VolumeAnswer>(m.status());
-        if (mc.is_ok()) {
-          answer.volume = mc.value();
-          answer.guard.rung = rung_of(answer.volume);
-          answer.volume.degraded = true;  // carries no exact guarantee
-        } else if (is_degradable(mc.status())) {
-          answer.volume = trivial_half_volume(true);
-        } else {
-          return mc.status();
-        }
-      } else if (is_degradable(v.status())) {
-        answer.volume = trivial_half_volume(true);
-      } else {
-        return v.status();
+        if (v.is_ok()) v.value().degraded = true;  // no exact guarantee
       }
       break;
-    }
   }
-
-  if (answer.guard.rung == guard::Rung::kNone) {
-    answer.guard.rung = rung_of(answer.volume);
+  // Expiry cannot salvage a partial exact decomposition, and a failed
+  // sample has nothing to report: both fall to the last rung.
+  if (!v.is_ok()) {
+    if (!is_degradable(v.status())) return v.status();
+    v = trivial_half_volume(true);
   }
-  if (answer.volume.degraded || decision.degrade_preplanned) {
-    answer.status = AnswerStatus::kDegraded;
-  }
+  Answer answer = volume_answer(std::move(v).take());
+  answer.plan = std::move(decision);
   return answer;
 }
 
-Result<VolumeAnswer> Session::forced_volume(const Request& request,
+Result<VolumeAnswer> Session::pinned_volume(const Request& request,
                                             const ParsedQuery& query,
-                                            VolumeStrategy strategy,
                                             CancelToken* token,
                                             guard::WorkMeter* meter) {
-  if (strategy == VolumeStrategy::kMonteCarlo) {
-    // A pinned request keeps its max_mc_samples cap; an M that does not
-    // fit std::size_t is kResourceExhausted, which run_volume degrades.
-    auto m = mc_sample_size(request.budget, request.vc_dim,
-                            request.max_mc_samples);
-    if (!m.is_ok()) return m.status();
-    auto membership = queries().rewrite(query, {token, meter});
-    if (!membership.is_ok()) {
-      // Expiry or a quota trip inside the QE rewrite degrades to the
-      // last rung, the same as expiry inside the sampling itself, with
-      // the same points_requested = M.
-      if (is_degradable(membership.status())) {
-        McPartial none;
-        none.requested = m.value();
-        return mc_volume_answer(none, request.budget.epsilon,
-                                request.budget.delta);
-      }
-      return membership.status();
-    }
-    return pooled_monte_carlo(request, query.formula(), membership.value(),
-                              m.value(), request.budget.epsilon, token,
-                              meter);
+  switch (*request.strategy) {
+    case VolumeStrategy::kTrivialHalf:
+      return trivial_rung(request.budget);
+    case VolumeStrategy::kMonteCarlo:
+      break;
+    default:
+      return volumes_.volume(
+          query, request.output_vars,
+          {.strategy = *request.strategy, .cancel = token, .meter = meter});
   }
-  return volumes_.volume(query, request.output_vars,
-                         {.strategy = strategy,
-                          .seed = request.seed,
-                          .cancel = token,
-                          .meter = meter});
+  // A pinned request keeps its max_mc_samples cap; an M that does not
+  // fit std::size_t is kResourceExhausted, which run_volume degrades.
+  auto m = mc_sample_size(request.budget, request.vc_dim,
+                          request.max_mc_samples);
+  if (!m.is_ok()) return m.status();
+  auto membership = queries().rewrite(query, {token, meter});
+  if (!membership.is_ok()) {
+    // Expiry or a quota trip inside the QE rewrite degrades to the last
+    // rung, the same as expiry inside the sampling itself, with the same
+    // points_requested = M.
+    if (is_degradable(membership.status())) {
+      McPartial none;
+      none.requested = m.value();
+      return mc_volume_answer(none, request.budget.epsilon, request.budget);
+    }
+    return membership.status();
+  }
+  return pooled_monte_carlo(request, query.formula(), membership.value(),
+                            m.value(), request.budget.epsilon, token, meter);
 }
 
 Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
@@ -432,7 +393,7 @@ Result<VolumeAnswer> Session::pooled_monte_carlo(const Request& request,
   auto est = sampler.estimate_partial({}, &pool_, token);
   if (!est.is_ok()) return est.status();
   mc_points_evaluated_total_->inc(est.value().evaluated);
-  return mc_volume_answer(est.value(), target_epsilon, request.budget.delta);
+  return mc_volume_answer(est.value(), target_epsilon, request.budget);
 }
 
 void Session::record_plan(const PlanDecision& decision) {

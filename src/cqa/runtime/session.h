@@ -15,11 +15,12 @@
 //   - requests are validated up front (empty query, epsilon/delta out
 //     of (0, 1), missing output variables -> kInvalidArgument before
 //     any engine runs);
-//   - volume requests go through cqa::plan, which picks the strategy
-//     (exact sweep / chunked Theorem-4 MC on the pool / hit-and-run /
-//     trivial 1/2) under the request's Budget{epsilon, delta,
-//     deadline_ms}; the decision lands in Answer.plan and in the
-//     metrics registry (planner_choice_*_total);
+//   - volume requests go through cqa::plan, which picks the rung
+//     (exact sweep / chunked Theorem-4 MC on the pool / trivial 1/2)
+//     under the request's Budget{epsilon, delta, deadline_ms}; the
+//     decision lands in Answer.plan and in the metrics registry
+//     (planner_choice_*_total); the rung that served the answer is read
+//     off the answer itself (volume_answer in request.h);
 //   - execution is cooperatively cancellable: a deadline arms a
 //     CancelToken (the caller's Request.cancel when provided) threaded
 //     through the engine hot loops, and expiry degrades to the
@@ -144,13 +145,16 @@ class Session {
   Result<Answer> run_impl(const Request& request, guard::WorkMeter* meter);
   Result<Answer> run_volume(const Request& request, const ParsedQuery& query,
                             CancelToken* token, guard::WorkMeter* meter);
+  // `analysis` is the query's inlined form (the front end's output).
   Result<Answer> run_planned_volume(const Request& request,
                                     const ParsedQuery& query,
-                                    CancelToken* token,
+                                    FormulaPtr analysis, CancelToken* token,
                                     guard::WorkMeter* meter);
-  Result<VolumeAnswer> forced_volume(const Request& request,
+  // One executor per rung, shared by pinned and planned requests: the
+  // exact engine (volumes_), pooled_monte_carlo, and trivial_rung in
+  // session.cpp; pinned_volume dispatches a pinned request to them.
+  Result<VolumeAnswer> pinned_volume(const Request& request,
                                      const ParsedQuery& query,
-                                     VolumeStrategy strategy,
                                      CancelToken* token,
                                      guard::WorkMeter* meter);
   // Samples the quantifier-free `membership` (the planner's analysis

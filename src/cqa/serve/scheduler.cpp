@@ -72,8 +72,9 @@ std::string request_fingerprint(const Request& request) {
   // Format version: bump when an answer-affecting field is added so a
   // disk cache written by an older build can never alias a new shape.
   // Format 2: VolumeStrategy lost its sweep-only member, renumbering the
-  // strategy byte below.
-  put_u8(&fp, 2);
+  // strategy byte below. Format 3: it lost the three paper baselines
+  // (kTrivialHalf moved from 5 to 3).
+  put_u8(&fp, 3);
   put_u8(&fp, static_cast<std::uint8_t>(request.kind));
   put_str(&fp, request.query);
   put_u64(&fp, request.output_vars.size());

@@ -16,8 +16,9 @@ constexpr char kMagic[] = "CQADC";      // 5 bytes, then format version
 // fail decode_answer, so a version bump drops them wholesale at open().
 // v3: request fingerprints (the keys) moved to format 2. Old keys can
 // never hit again, yet would count toward capacity, which refuses new
-// keys when full.
-constexpr std::uint8_t kFormatVersion = 3;
+// keys when full. v4: request fingerprints moved to format 3, for the
+// same reason.
+constexpr std::uint8_t kFormatVersion = 4;
 constexpr std::uint64_t kChecksumSalt = 0xd15cc4c4e5a17ULL;
 
 std::uint64_t record_checksum(const std::string& key,

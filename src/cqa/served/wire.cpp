@@ -245,7 +245,7 @@ Result<Request> decode_request(const std::string& payload) {
   req.budget.quota.max_bigint_bits = static_cast<std::size_t>(q3);
   req.budget.quota.max_resident_bytes = static_cast<std::size_t>(q4);
   if (strategy != 0xff) {
-    if (strategy > static_cast<std::uint8_t>(VolumeStrategy::kHitAndRun)) {
+    if (strategy > static_cast<std::uint8_t>(VolumeStrategy::kTrivialHalf)) {
       return Status::invalid("unknown volume strategy on wire");
     }
     req.strategy = static_cast<VolumeStrategy>(strategy);

@@ -42,7 +42,10 @@ namespace served {
 
 // v2: frame checksum. v3: VolumeStrategy lost its sweep-only member, so
 // every later strategy ordinal in a request frame moved down by one.
-inline constexpr std::uint8_t kWireVersion = 3;
+// v4: VolumeStrategy keeps only the ladder (kAuto, kInclusionExclusion,
+// kMonteCarlo, kTrivialHalf); kTrivialHalf moved from 5 to 3, and 4..6
+// are unknown strategies.
+inline constexpr std::uint8_t kWireVersion = 4;
 /// Upper bound on one frame body; larger length prefixes are treated as
 /// corruption and fail the connection instead of allocating blindly.
 inline constexpr std::uint32_t kMaxFrameBody = 64u << 20;

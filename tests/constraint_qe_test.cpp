@@ -30,21 +30,6 @@ TEST(Cells, DisequalitySplits) {
   EXPECT_EQ(cells.size(), 2u);
 }
 
-TEST(Cells, RestrictVar) {
-  VarTable vars;
-  // Triangle 0 <= y <= x <= 1.
-  auto f = parse_formula("0 <= y & y <= x & x <= 1", &vars).value_or_die();
-  auto cells = formula_to_cells(f, 2).value_or_die();
-  ASSERT_EQ(cells.size(), 1u);
-  // Fix x = 1/2: section is 0 <= y <= 1/2.
-  std::size_t x = static_cast<std::size_t>(vars.find("x"));
-  std::size_t y = static_cast<std::size_t>(vars.find("y"));
-  LinearCell sec = cells[0].restrict_var(x, Rational(1, 2));
-  AxisInterval iv = sec.project_to_axis(y);
-  EXPECT_EQ(*iv.lo, Rational(0));
-  EXPECT_EQ(*iv.hi, Rational(1, 2));
-}
-
 TEST(Cells, BoundedDetection) {
   VarTable vars;
   auto box = parse_formula("0 <= x & x <= 1 & 0 <= y & y <= 1", &vars)

@@ -32,15 +32,6 @@ TEST(Polyhedron, SimplexBasics) {
   EXPECT_FALSE(s.contains({Rational(1, 2), Rational(1, 2), Rational(1, 2)}));
 }
 
-TEST(Polyhedron, Intersect) {
-  Polyhedron a = Polyhedron::box(2, Rational(0), Rational(2));
-  Polyhedron b = Polyhedron::box(2, Rational(1), Rational(3));
-  Polyhedron c = a.intersect(b);
-  EXPECT_TRUE(c.contains(pt({1, 1})));
-  EXPECT_FALSE(c.contains(pt({0, 0})));
-  EXPECT_EQ(polytope_volume(c).value_or_die(), Rational(1));
-}
-
 TEST(VertexEnum, UnitSquare) {
   Polyhedron box = Polyhedron::box(2, Rational(0), Rational(1));
   auto vs = enumerate_vertices(box);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cqa/logic/parser.h"
 #include "cqa/vc/sample_bounds.h"
 
@@ -137,26 +139,19 @@ TEST(PlannerTest, LooseBudgetAcceptsTrivialHalf) {
   EXPECT_FALSE(d.degrade_preplanned);
 }
 
-TEST(PlannerTest, ConvexCellEligibleForHitAndRun) {
-  // Hit-and-run only qualifies for a single convex cell and only when
-  // the budget tolerates its heuristic error.
-  FormulaStats s = linear_stats(/*cells=*/1);
+TEST(PlannerTest, ConsidersOnlyTheLadderRungs) {
+  // The planner prices exactly the paper's ladder -- exact, Theorem-4
+  // MC, trivial 1/2 -- even on a single convex cell under a loose
+  // budget, where hit-and-run was once a candidate.
   Budget b;
   b.epsilon = 0.2;
   b.delta = 0.05;
-  PlanDecision d = plan_volume(s, b);
-  for (const PlannedStrategy& c : d.considered) {
-    if (c.strategy == VolumeStrategy::kHitAndRun) {
-      EXPECT_TRUE(c.feasible);
-      EXPECT_TRUE(c.meets_accuracy);
-    }
-  }
-  // Multi-cell unions disqualify it outright.
-  PlanDecision multi = plan_volume(linear_stats(/*cells=*/3), b);
-  for (const PlannedStrategy& c : multi.considered) {
-    if (c.strategy == VolumeStrategy::kHitAndRun) {
-      EXPECT_FALSE(c.feasible);
-    }
+  for (std::size_t cells : {1, 3}) {
+    PlanDecision d = plan_volume(linear_stats(cells), b);
+    ASSERT_EQ(d.considered.size(), 3u);
+    EXPECT_EQ(d.considered[0].strategy, VolumeStrategy::kAuto);
+    EXPECT_EQ(d.considered[1].strategy, VolumeStrategy::kMonteCarlo);
+    EXPECT_EQ(d.considered[2].strategy, VolumeStrategy::kTrivialHalf);
   }
 }
 
@@ -196,6 +191,16 @@ TEST(PlannerTest, HoeffdingEpsilonShrinksWithSamples) {
   EXPECT_LT(e2, 0.01);
   EXPECT_NEAR(hoeffding_epsilon(0.05, 4000) * 2.0,
               hoeffding_epsilon(0.05, 1000), 1e-12);
+}
+
+TEST(PlannerTest, HoeffdingHonoursTinyDelta) {
+  // Every delta in (0, 1) gets its own width; none is clamped to a
+  // looser confidence.
+  for (const double delta : {1e-15, 1e-300, 0.999}) {
+    const double expected = std::sqrt(std::log(2.0 / delta) / (2.0 * 10000));
+    EXPECT_NEAR(hoeffding_epsilon(delta, 10000), expected, 1e-12) << delta;
+  }
+  EXPECT_NEAR(hoeffding_epsilon(1e-15, 10000), 0.0420, 5e-5);
 }
 
 TEST(PlannerTest, McSampleSizeIsTheBlumerBoundWithTypedFailures) {
@@ -245,7 +250,7 @@ TEST(PlannerTest, PlanToStringMentionsEveryCandidate) {
   const std::string s = plan_to_string(d);
   EXPECT_NE(s.find("exact"), std::string::npos);
   EXPECT_NE(s.find("mc"), std::string::npos);
-  EXPECT_NE(s.find("hit_and_run"), std::string::npos);
+  EXPECT_EQ(s.find("hit_and_run"), std::string::npos);
   EXPECT_NE(s.find("trivial_half"), std::string::npos);
 }
 

@@ -304,6 +304,95 @@ TEST(SessionRunTest, UnrepresentableSampleSizeIsNeverACertifiedAnswer) {
   }
 }
 
+TEST(SessionRunTest, RungIsReadOffTheAnswer) {
+  // One rule for every path: exact -> kExact, no point evaluated ->
+  // kTrivialHalf, fewer points than requested -> kMcPartial, otherwise
+  // kMonteCarlo; the status is kDegraded exactly when the volume is.
+  ConstraintDatabase db;
+  Session session(&db, two_threads());
+  auto trivial_total = [&] {
+    return session.metrics().counter_value(
+        "guard_degradation_rung_trivial_half_total");
+  };
+
+  // Planner-routed at epsilon 0.6: the constant 1/2 meets the budget.
+  const std::uint64_t before = trivial_total();
+  auto planned = session.run(
+      Request::volume(kTriangle).vars({"x", "y"}).epsilon(0.6));
+  ASSERT_TRUE(planned.is_ok()) << planned.status().to_string();
+  ASSERT_TRUE(planned.value().plan.has_value());
+  EXPECT_EQ(planned.value().plan->chosen, VolumeStrategy::kTrivialHalf);
+  EXPECT_EQ(planned.value().guard.rung, guard::Rung::kTrivialHalf);
+  EXPECT_EQ(planned.value().status, AnswerStatus::kOk);
+  EXPECT_EQ(trivial_total(), before + 1);
+
+  // Pinned kTrivialHalf answers what the planner's rung answers, on a
+  // linear and on a polynomial query alike.
+  for (const char* query : {kTriangle, kDisk}) {
+    for (const double eps : {0.6, 0.05}) {
+      auto a = session.run(Request::volume(query)
+                               .vars({"x", "y"})
+                               .strategy(VolumeStrategy::kTrivialHalf)
+                               .epsilon(eps));
+      ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+      const Answer& ans = a.value();
+      EXPECT_EQ(*ans.volume.estimate, 0.5) << query;
+      EXPECT_EQ(*ans.volume.lower, 0.0);
+      EXPECT_EQ(*ans.volume.upper, 1.0);
+      EXPECT_EQ(ans.guard.rung, guard::Rung::kTrivialHalf) << query;
+      EXPECT_EQ(ans.status, eps < 0.5 ? AnswerStatus::kDegraded
+                                      : AnswerStatus::kOk)
+          << query << " eps " << eps;
+    }
+  }
+  // It still runs the front end: an unknown relation is an error.
+  auto unknown = session.run(Request::volume("Foo(x, y)")
+                                 .vars({"x", "y"})
+                                 .strategy(VolumeStrategy::kTrivialHalf));
+  ASSERT_FALSE(unknown.is_ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+
+  // A complete pinned Monte-Carlo run.
+  auto mc = session.run(Request::volume(kTriangle)
+                            .vars({"x", "y"})
+                            .strategy(VolumeStrategy::kMonteCarlo));
+  ASSERT_TRUE(mc.is_ok()) << mc.status().to_string();
+  EXPECT_EQ(mc.value().guard.rung, guard::Rung::kMonteCarlo);
+  EXPECT_EQ(mc.value().status, AnswerStatus::kOk);
+
+  // The exact -> MC quota fallback: complete, so mc, and degraded.
+  Request exact = volume_request(
+      "(x >= 0 & y >= 0 & x + y <= 1) |"
+      " (x >= 1/4 & x <= 3/4 & y >= 1/4 & y <= 3/4)");
+  exact.budget.quota = guard::ResourceQuota::unlimited();
+  exact.budget.quota.max_sweep_sections = 1;
+  auto fallback = session.run(exact);
+  ASSERT_TRUE(fallback.is_ok()) << fallback.status().to_string();
+  EXPECT_EQ(fallback.value().guard.rung, guard::Rung::kMonteCarlo);
+  EXPECT_EQ(fallback.value().status, AnswerStatus::kDegraded);
+
+  // A partial run: half the sampler chunks are dropped, deterministically
+  // by the injector's per-arrival sequence.
+  SessionOptions small_chunks = two_threads();
+  small_chunks.mc_chunk_size = 256;
+  Session chunked(&db, small_chunks);
+  guard::FaultPlan plan;
+  plan.seed = 7;
+  plan.rate[static_cast<std::size_t>(guard::FaultSite::kSpuriousCancel)] =
+      0.5;
+  guard::FaultInjector injector(plan);
+  guard::ScopedFaultInjector scope(&injector);
+  auto partial = chunked.run(Request::volume(kDisk)
+                                 .vars({"x", "y"})
+                                 .strategy(VolumeStrategy::kMonteCarlo));
+  ASSERT_TRUE(partial.is_ok()) << partial.status().to_string();
+  const VolumeAnswer& v = partial.value().volume;
+  ASSERT_GT(v.points_evaluated, 0u);
+  ASSERT_LT(v.points_evaluated, v.points_requested);
+  EXPECT_EQ(partial.value().guard.rung, guard::Rung::kMcPartial);
+  EXPECT_EQ(partial.value().status, AnswerStatus::kDegraded);
+}
+
 TEST(SessionRunTest, ForcedStrategyBypassesPlanner) {
   ConstraintDatabase db;
   Session session(&db);

@@ -193,6 +193,32 @@ Request full_request() {
       .build();
 }
 
+TEST(RequestCodec, StrategyBytesPastTheLadderAreInvalid) {
+  // VolumeStrategy keeps only kAuto, kInclusionExclusion, kMonteCarlo and
+  // kTrivialHalf (bytes 0..3); any later byte is an unknown strategy.
+  Request in = Request::volume("x <= 1/2")
+                   .vars({"x"})
+                   .strategy(VolumeStrategy::kAuto)
+                   .build();
+  const std::string payload = served::encode_request(in);
+  // The strategy byte precedes seed (8), vc flag (1), vc (8), cap (8),
+  // priority (1), aggregate fn (1) and the binding count (8).
+  const std::size_t at = payload.size() - 36;
+  ASSERT_EQ(payload[at], 0);
+  std::string last = payload;
+  last[at] = 3;
+  auto trivial = served::decode_request(last);
+  ASSERT_TRUE(trivial.is_ok());
+  EXPECT_EQ(trivial.value().strategy, VolumeStrategy::kTrivialHalf);
+  for (const std::uint8_t b : {4, 5, 6}) {
+    std::string bad = payload;
+    bad[at] = static_cast<char>(b);
+    auto out = served::decode_request(bad);
+    ASSERT_FALSE(out.is_ok()) << "byte " << int{b};
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(RequestCodec, RoundTripsEveryAnswerAffectingField) {
   const Request in = full_request();
   auto out = served::decode_request(served::encode_request(in));
@@ -387,7 +413,7 @@ TEST(Fingerprint, GoldenBytesAreStableAcrossPlatformsAndSessions) {
                   .deadline_ms(16)
                   .seed(3)
                   .build();
-  EXPECT_EQ(hex(serve::request_fingerprint(r)), "0203080000000000000078203c3d20312f320100000000000000010000000000"
+  EXPECT_EQ(hex(serve::request_fingerprint(r)), "0303080000000000000078203c3d20312f320100000000000000010000000000"
       "000078000000000000e03f000000000000d03f100000000000000000093d0000"
       "00000090d003000000000020a107000000000040420f00000000000000004000"
       "0000000300000000000000ff0000000000000000000000000000000000000000"

@@ -96,7 +96,7 @@ SPECS = {
     },
     "BENCH_planner.json": {
         "keys": ["strategies", "planner_beats_all_covering_baselines"],
-        "members": {"strategies": ["planner", "exact", "mc", "hit_and_run",
+        "members": {"strategies": ["planner", "exact", "mc",
                                    "trivial_half"]},
         "summary": lambda d: ", ".join(sorted(d["strategies"])),
     },
